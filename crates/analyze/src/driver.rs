@@ -17,7 +17,7 @@ use crate::manifest::{self, Manifest};
 use crate::parser;
 use crate::passes;
 use crate::report::Analysis;
-use crate::source::SourceFile;
+use crate::source::{Loc, SourceFile};
 use jact_obs::schema::ObsSchema;
 
 /// Walks upward from `start` to the nearest directory whose `Cargo.toml`
@@ -72,6 +72,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut manifests: Vec<Manifest> = vec![manifest::parse("Cargo.toml", &root_text)];
     let mut sources: Vec<SourceFile> = Vec::new();
     let mut crates: Vec<String> = Vec::new();
+    let mut loc: Vec<(String, Loc)> = Vec::new();
 
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -92,14 +93,18 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         manifests.push(m);
 
         let src_dir = dir.join("src");
+        let mut crate_loc = Loc::default();
         if src_dir.is_dir() {
             let mut files = Vec::new();
             collect_rs(&src_dir, &mut files)?;
             for file in files {
                 let text = fs::read_to_string(&file)?;
-                sources.push(SourceFile::new(rel_str(root, &file), pkg.clone(), text));
+                let source = SourceFile::new(rel_str(root, &file), pkg.clone(), text);
+                crate_loc += source.loc();
+                sources.push(source);
             }
         }
+        loc.push((pkg, crate_loc));
     }
 
     // Syntax-aware stage: parse every file once, build the workspace
@@ -146,6 +151,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         crates,
         violations,
         suppressions_honored,
+        loc,
     })
 }
 

@@ -85,6 +85,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    if !quiet {
+        let l = analysis.loc_total();
+        println!(
+            "jact-analyze: loc: {} files, {} code, {} test, {} comment/blank lines under crates/*/src",
+            l.files, l.code, l.test, l.other
+        );
+    }
+
     if let Some(path) = write_baseline {
         let text = Baseline::from_diagnostics(&analysis.violations).to_text();
         if let Err(e) = std::fs::write(&path, text) {

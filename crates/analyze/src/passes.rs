@@ -635,10 +635,12 @@ pub fn ja09_checked_casts(file: &SourceFile, ast: &FileAst) -> Vec<Diagnostic> {
 /// division on runtime values count as panic sources for JA10 (anywhere
 /// else, in-bounds indexing under local invariants is accepted and only
 /// the explicit panic forms count).
-pub const WIRE_SURFACE_MODULES: [&str; 4] = [
+pub const WIRE_SURFACE_MODULES: [&str; 6] = [
+    "crates/codec/src/seal.rs",
     "crates/codec/src/wire.rs",
     "crates/codec/src/stream.rs",
     "crates/serve/src/frame.rs",
+    "crates/serve/src/journal.rs",
     "crates/infer/src/frame.rs",
 ];
 

@@ -2,6 +2,7 @@
 //! (written to `target/analyze-report.json` by the CLI).
 
 use crate::diag::{Code, Diagnostic};
+use crate::source::Loc;
 use jact_bench::json::Json;
 
 /// Outcome of analyzing a workspace.
@@ -16,6 +17,18 @@ pub struct Analysis {
     pub violations: Vec<Diagnostic>,
     /// Number of inline suppression comments honored.
     pub suppressions_honored: usize,
+    /// Library line counts per crate, in scan order, so the report
+    /// tracks size like speed.
+    pub loc: Vec<(String, Loc)>,
+}
+
+fn loc_json(name: &str, l: &Loc) -> Json {
+    Json::obj()
+        .field("crate", name)
+        .field("files", l.files)
+        .field("code", l.code)
+        .field("test", l.test)
+        .field("comment_blank", l.other)
 }
 
 impl Analysis {
@@ -27,6 +40,15 @@ impl Analysis {
     /// `true` when the workspace is clean.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Workspace-wide line counts.
+    pub fn loc_total(&self) -> Loc {
+        let mut total = Loc::default();
+        for (_, l) in &self.loc {
+            total += *l;
+        }
+        total
     }
 
     /// Renders the report as a JSON value tree.
@@ -57,6 +79,11 @@ impl Analysis {
             .field("total_violations", self.violations.len())
             .field("clean", self.is_clean())
             .field("violations", Json::Arr(violations))
+            .field(
+                "loc",
+                Json::Arr(self.loc.iter().map(|(c, l)| loc_json(c, l)).collect()),
+            )
+            .field("loc_total", loc_json("*", &self.loc_total()))
     }
 }
 
@@ -72,8 +99,16 @@ mod tests {
             crates: vec!["jact-codec".into()],
             violations: vec![Diagnostic::new(Code::Ja03, "src/x.rs", 7, 9, "unwrap")],
             suppressions_honored: 1,
+            loc: vec![
+                ("jact-codec".into(), Loc { files: 2, code: 30, test: 10, other: 5 }),
+                ("jact-serve".into(), Loc { files: 1, code: 7, test: 0, other: 1 }),
+            ],
         };
         let s = a.to_json().to_string();
+        assert!(
+            s.contains("{\"crate\":\"*\",\"files\":3,\"code\":37,\"test\":10,\"comment_blank\":6}"),
+            "{s}"
+        );
         assert!(s.contains("\"schema\":\"jact-analyze/v1\""), "{s}");
         assert!(s.contains("\"JA03\":1"), "{s}");
         assert!(s.contains("\"total_violations\":1"), "{s}");

@@ -48,6 +48,55 @@ impl SourceFile {
     pub fn in_test_region(&self, pos: usize) -> bool {
         self.test_regions.iter().any(|&(s, e)| pos >= s && pos < e)
     }
+
+    /// Classifies every line as test (inside a test region, whatever it
+    /// holds), code (any other line with a meaningful token on it) or
+    /// comment/blank; the three counts sum to the file's line count.
+    pub fn loc(&self) -> Loc {
+        let mut has_code = vec![false; self.text.lines().count() + 2];
+        for &ti in &self.meaningful {
+            let t = &self.tokens[ti];
+            let first = t.line as usize;
+            let last = first + t.text(&self.text).matches('\n').count();
+            has_code[first..=last].fill(true);
+        }
+        let mut loc = Loc { files: 1, ..Loc::default() };
+        let mut start = 0usize;
+        for (i, line) in self.text.lines().enumerate() {
+            let indent = line.len() - line.trim_start().len();
+            if self.in_test_region(start + indent) {
+                loc.test += 1;
+            } else if has_code[i + 1] {
+                loc.code += 1;
+            } else {
+                loc.other += 1;
+            }
+            start += line.len() + 1;
+        }
+        loc
+    }
+}
+
+/// Line counts of a file, a crate or the workspace.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Loc {
+    /// Source files counted.
+    pub files: usize,
+    /// Non-test lines holding code.
+    pub code: usize,
+    /// Lines inside `#[cfg(test)]`/`#[test]`/`mod tests` regions.
+    pub test: usize,
+    /// Comment-only and blank lines outside test regions.
+    pub other: usize,
+}
+
+impl std::ops::AddAssign for Loc {
+    fn add_assign(&mut self, o: Loc) {
+        self.files += o.files;
+        self.code += o.code;
+        self.test += o.test;
+        self.other += o.other;
+    }
 }
 
 /// Finds byte ranges of test-only code: any item annotated `#[cfg(test)]`
@@ -214,6 +263,15 @@ mod tests {
         let src = "#[derive(Debug)]\nstruct S;\nfn live() {}\n";
         let f = sf(src);
         assert!(f.test_regions.is_empty());
+    }
+
+    #[test]
+    fn loc_splits_code_test_and_comment_lines() {
+        let src = "//! doc\n\nfn live() {\n    let s = \"a\nb\";\n}\n// note\n#[cfg(test)]\nmod tests {\n    // c\n\n    fn t() {}\n}\n";
+        let loc = sf(src).loc();
+        // The multi-line string keeps both of its lines as code.
+        assert_eq!((loc.files, loc.code, loc.test, loc.other), (1, 4, 6, 3));
+        assert_eq!(loc.code + loc.test + loc.other, src.lines().count());
     }
 
     #[test]

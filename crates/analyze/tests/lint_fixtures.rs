@@ -443,14 +443,16 @@ fn ja10_fires_on_transitive_panic_with_call_chain() {
 
 #[test]
 fn ja10_counts_wire_surface_indexing_as_a_source() {
-    let f = src(
-        "crates/codec/src/wire.rs",
-        "jact-codec",
-        "//! d\npub fn peek(buf: &[u8], i: usize) -> u8 {\n    buf[i]\n}\n",
-    );
-    let diags = graph_diags(std::slice::from_ref(&f));
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("slice indexing"));
+    for path in ["crates/codec/src/wire.rs", "crates/codec/src/seal.rs"] {
+        let f = src(
+            path,
+            "jact-codec",
+            "//! d\npub fn peek(buf: &[u8], i: usize) -> u8 {\n    buf[i]\n}\n",
+        );
+        let diags = graph_diags(std::slice::from_ref(&f));
+        assert_eq!(diags.len(), 1, "{path}");
+        assert!(diags[0].message.contains("slice indexing"));
+    }
 
     // The same body outside the wire surface is accepted (JA10 only
     // counts explicit panic forms there).
@@ -464,17 +466,19 @@ fn ja10_counts_wire_surface_indexing_as_a_source() {
 
 #[test]
 fn ja10_treats_the_serve_frame_module_as_wire_surface() {
-    // crates/serve/src/frame.rs decodes hostile envelope bytes, so
-    // runtime indexing there is a panic source exactly as in
-    // codec::wire.
-    let f = src(
-        "crates/serve/src/frame.rs",
-        "jact-serve",
-        "//! d\npub fn peek(buf: &[u8], i: usize) -> u8 {\n    buf[i]\n}\n",
-    );
-    let diags = graph_diags(std::slice::from_ref(&f));
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("slice indexing"));
+    // crates/serve/src/frame.rs decodes hostile envelope bytes and
+    // journal.rs a file from outside the program, so runtime indexing
+    // there is a panic source exactly as in codec::wire.
+    for path in ["crates/serve/src/frame.rs", "crates/serve/src/journal.rs"] {
+        let f = src(
+            path,
+            "jact-serve",
+            "//! d\npub fn peek(buf: &[u8], i: usize) -> u8 {\n    buf[i]\n}\n",
+        );
+        let diags = graph_diags(std::slice::from_ref(&f));
+        assert_eq!(diags.len(), 1, "{path}");
+        assert!(diags[0].message.contains("slice indexing"));
+    }
 
     // Other serve modules hold only to the explicit-panic-form bar.
     let elsewhere = src(

@@ -22,7 +22,8 @@
 //! | [`pipeline`] | III | Composed codecs: SFPR-only, JPEG-BASE, JPEG-ACT, and the DIV/SH × RLE/ZVC matrix |
 //! | [`tile`] | III, Fig. 11 | Streaming tile pipeline: stage trait fusing gather → DCT → quantize → code per 8×8 block |
 //! | [`stream`] | III-G | Collector / splitter: round-robin multi-CDU stream aggregation into 128 B DMA packets |
-//! | [`wire`] | III-G | Framed wire format: magic + version + tag + CRC32 container, panic-free decode of arbitrary bytes |
+//! | [`seal`] | III-G | The one sealed-container layout (magic + version + tag + length + CRC32): writers, bounds-checked reader, `open`, streaming assembler |
+//! | [`wire`] | III-G | Framed wire format: the `JACT` sealed container of every payload, panic-free decode of arbitrary bytes |
 //! | [`bits`] | — | Bit-level I/O shared by the entropy coders |
 //!
 //! ## Quick start
@@ -63,6 +64,7 @@ pub mod fast_dct;
 pub mod pipeline;
 pub mod quant;
 pub mod rle;
+pub mod seal;
 pub mod sfpr;
 pub mod stream;
 pub mod tile;

@@ -10,7 +10,8 @@
 //!
 //! Because scheduling is deterministic, no side-band metadata is needed —
 //! the splitter recomputes the interleave exactly.  This module is the
-//! functional model; `jact-gpusim` layers timing on top of it.
+//! functional model only: `jact-gpusim` does not depend on `jact-codec`
+//! and times CDU traffic from its own analytic rates (`GpuConfig`).
 //!
 //! The splitter consumes bytes that crossed the DMA link, so every decode
 //! failure is a typed [`CodecError::Stream`] naming the CDU index and the

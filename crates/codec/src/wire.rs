@@ -10,24 +10,16 @@
 //! decompressors rely on is re-established before a payload is rebuilt,
 //! so there are zero panic paths for arbitrary input.
 //!
-//! ## Frame layout (all integers little-endian)
+//! ## Frame layout
 //!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0 | 4 | magic `b"JACT"` |
-//! | 4 | 2 | format version ([`VERSION`]) |
-//! | 6 | 1 | codec tag (0=Raw .. 7=Brc) |
-//! | 7 | 1 | reserved, must be 0 |
-//! | 8 | 8 | body length `L` |
-//! | 16 | `L` | body |
-//! | 16+`L` | 4 | CRC32 (IEEE, poly `0xEDB88320`) over bytes `0..16+L` |
-//!
-//! The body starts with a common prelude — codec name (u32-length UTF-8
-//! string), uncompressed byte count, compressed byte count — followed by
-//! the tag-specific payload encoding.  A frame must be *exactly*
-//! `16 + L + 4` bytes: trailing garbage is a [`CodecError::BadFrame`],
-//! a short buffer is a [`CodecError::Truncated`], and a checksum
-//! disagreement is a [`CodecError::ChecksumMismatch`].
+//! A `JACT` frame is a [`crate::seal`] container ([`LAYOUT`]): magic
+//! `b"JACT"`, no address bytes (a 16-byte header), codec tags
+//! 0=Raw .. 7=Brc.  The body starts with a common prelude — codec name
+//! (u32-length UTF-8 string), uncompressed byte count, compressed byte
+//! count — followed by the tag-specific payload encoding.  A short
+//! buffer is a [`CodecError::Truncated`], a checksum disagreement is a
+//! [`CodecError::ChecksumMismatch`], and every other malformation
+//! (trailing garbage included) is a [`CodecError::BadFrame`].
 //!
 //! Version policy: [`VERSION`] bumps on any layout change; decoders reject
 //! every version other than their own (offloaded activations never
@@ -41,9 +33,12 @@ use crate::csr::MAX_ROW;
 use crate::dqt::Dqt;
 use crate::error::CodecError;
 use crate::pipeline::{CodedBlocks, CompressedActivation, JpegPayload, Payload, QuantKind2};
+use crate::seal::{self, le_bytes, put_f32, put_u16, put_u32, put_u64, FrameError, Layout, Reader};
 use crate::sfpr::{SfprEncoded, SfprParams};
 use crate::zvc::Zvc;
 use jact_tensor::{Shape, Tensor};
+
+pub use crate::seal::crc32;
 
 /// Frame magic: the first four bytes of every serialized activation.
 pub const MAGIC: [u8; 4] = *b"JACT";
@@ -52,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"JACT";
 pub const VERSION: u16 = 1;
 
 /// Header length in bytes (magic + version + tag + reserved + body length).
-pub const HEADER_BYTES: usize = 16;
+pub const HEADER_BYTES: usize = LAYOUT.header_bytes();
 
 /// Upper bound on the element count of any shape accepted off the wire —
 /// a denial-of-service guard so a mutated dimension field cannot demand
@@ -71,71 +66,50 @@ const TAG_SFPR_ZVC: u8 = 5;
 const TAG_JPEG: u8 = 6;
 const TAG_BRC: u8 = 7;
 
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — hand-rolled so
-// the workspace stays hermetic.
-// ---------------------------------------------------------------------
+/// The sealed-container layout of a `JACT` frame.
+pub const LAYOUT: Layout = Layout {
+    magic: MAGIC,
+    version: VERSION,
+    addr_bytes: 0,
+    min_tag: TAG_RAW,
+    max_tag: TAG_BRC,
+};
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+impl From<FrameError> for CodecError {
+    fn from(e: FrameError) -> Self {
+        let bad = |offset, what| CodecError::BadFrame { offset, what };
+        match e {
+            FrameError::BadMagic => bad(0, "bad magic"),
+            FrameError::BadVersion { .. } => bad(4, "unsupported wire version"),
+            FrameError::BadTag { .. } => bad(6, "unknown codec tag"),
+            FrameError::BadReserved => bad(7, "reserved byte must be zero"),
+            FrameError::BadLength { offset } => bad(offset, "length field overflows"),
+            FrameError::Truncated {
+                offset,
+                needed,
+                available,
+            } => CodecError::Truncated {
+                offset,
+                needed,
+                available,
+            },
+            FrameError::Incomplete { have, want } => CodecError::Truncated {
+                offset: have,
+                needed: want.saturating_sub(have),
+                available: 0,
+            },
+            FrameError::Trailing { offset, .. } => bad(offset, "trailing bytes after frame"),
+            FrameError::Checksum { expected, actual } => {
+                CodecError::ChecksumMismatch { expected, actual }
+            }
+            FrameError::Oversize { .. } => bad(8, "frame exceeds assembler size cap"),
         }
-        table[i] = c;
-        i += 1;
     }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// Copies a length-checked byte slice into a fixed array for
-/// `from_le_bytes`.  Callers pass exactly `N` bytes (from `Reader::take`
-/// or `chunks_exact`), so the zero fallback is unreachable; it exists to
-/// keep the decode path free of panicking slice indexing.
-fn le_bytes<const N: usize>(s: &[u8]) -> [u8; N] {
-    s.try_into().unwrap_or([0; N])
-}
-
-/// CRC32 (IEEE) of a byte buffer — the checksum used by the frame trailer.
-/// Public so corruption tests can re-seal mutated frames and exercise the
-/// deep field validation behind the checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------
-// Little-endian writer helpers.
+// Payload writers.
 // ---------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
@@ -186,196 +160,139 @@ fn put_dqt(out: &mut Vec<u8>, dqt: &Dqt) {
 }
 
 // ---------------------------------------------------------------------
-// Bounds-checked little-endian reader.
+// Payload readers over the shared bounds-checked `seal::Reader`.
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A structural-validation error at the reader's cursor.
+fn bad(r: &Reader<'_>, what: &'static str) -> CodecError {
+    CodecError::BadFrame {
+        offset: r.pos(),
+        what,
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+/// Copies the next `n` bytes into a pooled buffer.
+fn read_bytes(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, CodecError> {
+    let src = r.take(n)?;
+    let mut bytes: Vec<u8> = jact_pool::take(n);
+    bytes.extend_from_slice(src);
+    Ok(bytes)
+}
 
-    /// A structural-validation error at the current cursor.
-    fn bad(&self, what: &'static str) -> CodecError {
-        CodecError::BadFrame {
-            offset: self.pos,
-            what,
+/// Decodes the next `n` little-endian f32s into a pooled buffer.
+fn read_f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+    let src = r.take(n * 4)?;
+    let mut data: Vec<f32> = jact_pool::take(n);
+    data.extend(src.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c))));
+    Ok(data)
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, CodecError> {
+    let start = r.pos();
+    let len = r.u32()? as usize;
+    let bytes = read_bytes(r, len)?;
+    String::from_utf8(bytes).map_err(|_| CodecError::BadFrame {
+        offset: start,
+        what: "string is not valid UTF-8",
+    })
+}
+
+fn read_shape(r: &mut Reader<'_>) -> Result<Shape, CodecError> {
+    let rank = r.u8()? as usize;
+    if rank == 0 {
+        return Err(bad(r, "shape rank must be positive"));
+    }
+    if rank > MAX_WIRE_RANK {
+        return Err(bad(r, "shape rank too large"));
+    }
+    let mut dims = [0usize; MAX_WIRE_RANK];
+    let mut elems = 1usize;
+    for slot in dims.iter_mut().take(rank) {
+        let d = r.len_u64()?;
+        if d == 0 {
+            return Err(bad(r, "shape dimension must be positive"));
         }
+        elems = elems
+            .checked_mul(d)
+            .filter(|&e| e <= MAX_WIRE_ELEMS)
+            .ok_or_else(|| bad(r, "shape element count too large"))?;
+        *slot = d;
     }
+    // `rank <= MAX_WIRE_RANK` was validated above, so the lookup
+    // always succeeds; the typed fallback keeps this panic-free.
+    let dims = dims
+        .get(..rank)
+        .ok_or_else(|| bad(r, "shape rank too large"))?;
+    Ok(Shape::new(dims))
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let available = self.buf.len().saturating_sub(self.pos);
-        match self.pos.checked_add(n).and_then(|end| self.buf.get(self.pos..end)) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(CodecError::Truncated {
-                offset: self.pos,
-                needed: n,
-                available,
-            }),
+fn read_tensor(r: &mut Reader<'_>) -> Result<Tensor, CodecError> {
+    let shape = read_shape(r)?;
+    let data = read_f32s(r, shape.len())?;
+    Ok(Tensor::from_vec(shape, data))
+}
+
+fn read_zvc(r: &mut Reader<'_>) -> Result<Zvc, CodecError> {
+    let words = r.len_u64()?;
+    let word_bytes = r.u8()? as usize;
+    if word_bytes == 0 {
+        return Err(bad(r, "ZVC word width must be positive"));
+    }
+    let mask = read_bytes(r, words.div_ceil(8))?;
+    let popcount: usize = mask.iter().map(|b| b.count_ones() as usize).sum();
+    let value_len = popcount
+        .checked_mul(word_bytes)
+        .ok_or_else(|| bad(r, "ZVC value size overflow"))?;
+    let values = read_bytes(r, value_len)?;
+    Zvc::from_parts(mask, values, words, word_bytes)
+}
+
+/// Reads an SFPR block.  When `require_values`, the value plane must
+/// be present (the standalone SFPR payload decompresses it directly);
+/// metadata-only forms (JPEG, SFPR+ZVC) may carry either.
+fn read_sfpr(r: &mut Reader<'_>, require_values: bool) -> Result<SfprEncoded, CodecError> {
+    let s = r.f32()?;
+    let bits = r.u32()?;
+    let shape = read_shape(r)?;
+    if shape.rank() != 4 {
+        return Err(bad(r, "SFPR shape must be rank 4"));
+    }
+    let scales = read_f32s(r, shape.c())?;
+    let values = match r.u8()? {
+        0 if require_values => {
+            return Err(bad(r, "SFPR payload requires a value plane"));
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(le_bytes(self.take(2)?)))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(le_bytes(self.take(4)?)))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(le_bytes(self.take(8)?)))
-    }
-
-    fn f32(&mut self) -> Result<f32, CodecError> {
-        Ok(f32::from_le_bytes(le_bytes(self.take(4)?)))
-    }
-
-    /// Reads a u64 length field and narrows it to `usize`.
-    fn len_u64(&mut self) -> Result<usize, CodecError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CodecError::BadFrame {
-            offset: self.pos - 8,
-            what: "length field exceeds platform word size",
-        })
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let start = self.pos;
-        let len = self.u32()? as usize;
-        let src = self.take(len)?;
-        let mut bytes: Vec<u8> = jact_pool::take(len);
-        bytes.extend_from_slice(src);
-        String::from_utf8(bytes).map_err(|_| CodecError::BadFrame {
-            offset: start,
-            what: "string is not valid UTF-8",
-        })
-    }
-
-    fn shape(&mut self) -> Result<Shape, CodecError> {
-        let rank = self.u8()? as usize;
-        if rank == 0 {
-            return Err(self.bad("shape rank must be positive"));
+        // "No value plane": hand back a pooled empty vec so the
+        // eventual recycle parks it for the next decode.
+        0 => jact_pool::take(0),
+        1 => {
+            let src = r.take(shape.len())?;
+            let mut v: Vec<i8> = jact_pool::take(src.len());
+            v.extend(src.iter().map(|&b| b.cast_signed()));
+            v
         }
-        if rank > MAX_WIRE_RANK {
-            return Err(self.bad("shape rank too large"));
-        }
-        let mut dims = [0usize; MAX_WIRE_RANK];
-        let mut elems = 1usize;
-        for slot in dims.iter_mut().take(rank) {
-            let d = self.len_u64()?;
-            if d == 0 {
-                return Err(self.bad("shape dimension must be positive"));
-            }
-            elems = elems
-                .checked_mul(d)
-                .filter(|&e| e <= MAX_WIRE_ELEMS)
-                .ok_or_else(|| self.bad("shape element count too large"))?;
-            *slot = d;
-        }
-        // `rank <= MAX_WIRE_RANK` was validated above, so the lookup
-        // always succeeds; the typed fallback keeps this panic-free.
-        let dims = dims
-            .get(..rank)
-            .ok_or_else(|| self.bad("shape rank too large"))?;
-        Ok(Shape::new(dims))
-    }
+        _ => return Err(bad(r, "SFPR value-plane flag must be 0 or 1")),
+    };
+    SfprEncoded::from_parts(values, scales, shape, SfprParams { s, bits })
+}
 
-    fn tensor(&mut self) -> Result<Tensor, CodecError> {
-        let shape = self.shape()?;
-        let n = shape.len();
-        let bytes = self.take(n * 4)?;
-        let mut data: Vec<f32> = jact_pool::take(n);
-        data.extend(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c))));
-        Ok(Tensor::from_vec(shape, data))
-    }
-
-    fn zvc(&mut self) -> Result<Zvc, CodecError> {
-        let words = self.len_u64()?;
-        let word_bytes = self.u8()? as usize;
-        if word_bytes == 0 {
-            return Err(self.bad("ZVC word width must be positive"));
+fn read_dqt(r: &mut Reader<'_>) -> Result<Dqt, CodecError> {
+    let name = read_string(r)?;
+    let mut entries = [0u16; 64];
+    for e in entries.iter_mut() {
+        let v = r.u16()?;
+        if !(1..=255).contains(&v) {
+            return Err(CodecError::BadFrame {
+                offset: r.pos() - 2,
+                what: "DQT entry out of 1..=255",
+            });
         }
-        let mask_src = self.take(words.div_ceil(8))?;
-        let mut mask: Vec<u8> = jact_pool::take(mask_src.len());
-        mask.extend_from_slice(mask_src);
-        let popcount: usize = mask.iter().map(|b| b.count_ones() as usize).sum();
-        let value_len = popcount
-            .checked_mul(word_bytes)
-            .ok_or_else(|| self.bad("ZVC value size overflow"))?;
-        let value_src = self.take(value_len)?;
-        let mut values: Vec<u8> = jact_pool::take(value_src.len());
-        values.extend_from_slice(value_src);
-        Zvc::from_parts(mask, values, words, word_bytes)
+        *e = v;
     }
-
-    /// Reads an SFPR block.  When `require_values`, the value plane must
-    /// be present (the standalone SFPR payload decompresses it directly);
-    /// metadata-only forms (JPEG, SFPR+ZVC) may carry either.
-    fn sfpr(&mut self, require_values: bool) -> Result<SfprEncoded, CodecError> {
-        let s = self.f32()?;
-        let bits = self.u32()?;
-        let shape = self.shape()?;
-        if shape.rank() != 4 {
-            return Err(self.bad("SFPR shape must be rank 4"));
-        }
-        let scale_bytes = self.take(shape.c() * 4)?;
-        let mut scales: Vec<f32> = jact_pool::take(shape.c());
-        scales.extend(
-            scale_bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(le_bytes(c))),
-        );
-        let values = match self.u8()? {
-            0 if require_values => {
-                return Err(self.bad("SFPR payload requires a value plane"));
-            }
-            // "No value plane": hand back a pooled empty vec so the
-            // eventual recycle parks it for the next decode.
-            0 => jact_pool::take(0),
-            1 => {
-                let src = self.take(shape.len())?;
-                let mut v: Vec<i8> = jact_pool::take(src.len());
-                v.extend(src.iter().map(|&b| b.cast_signed()));
-                v
-            }
-            _ => return Err(self.bad("SFPR value-plane flag must be 0 or 1")),
-        };
-        SfprEncoded::from_parts(values, scales, shape, SfprParams { s, bits })
-    }
-
-    fn dqt(&mut self) -> Result<Dqt, CodecError> {
-        let name = self.string()?;
-        let mut entries = [0u16; 64];
-        for e in entries.iter_mut() {
-            let v = self.u16()?;
-            if !(1..=255).contains(&v) {
-                return Err(CodecError::BadFrame {
-                    offset: self.pos - 2,
-                    what: "DQT entry out of 1..=255",
-                });
-            }
-            *e = v;
-        }
-        // Every entry was just range-checked, so this cannot fail; map the
-        // typed rejection into this decoder's frame error anyway rather
-        // than unwrapping in the panic-free wire path.
-        Dqt::from_entries(name, entries).map_err(|_| CodecError::BadFrame {
-            offset: self.pos,
-            what: "DQT entries out of 1..=255",
-        })
-    }
+    // Every entry was just range-checked, so this cannot fail; map the
+    // typed rejection into this decoder's frame error anyway rather
+    // than unwrapping in the panic-free wire path.
+    Dqt::from_entries(name, entries).map_err(|_| bad(r, "DQT entries out of 1..=255"))
 }
 
 /// Number of 8×8 blocks the JPEG pipelines produce for `shape`, computed
@@ -407,18 +324,10 @@ pub fn serialize(c: &CompressedActivation) -> Vec<u8> {
 /// Serializes a compressed activation into `out`, clearing it first and
 /// reusing its capacity — with a pooled buffer the steady-state wire
 /// path runs without touching the allocator.  The frame is written in
-/// one pass: the header's tag and body-length fields are patched in
-/// place once the body length is known, then the CRC seals the whole
-/// frame, producing bytes identical to the historical two-buffer
-/// encoding.
+/// one pass: `seal::seal` patches the header's tag and body-length
+/// fields in place once the body is down, then one CRC pass seals it.
 pub fn serialize_into(c: &CompressedActivation, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&MAGIC);
-    put_u16(out, VERSION);
-    out.push(0); // tag, patched below
-    out.push(0); // reserved
-    put_u64(out, 0); // body length, patched below
-    debug_assert_eq!(out.len(), HEADER_BYTES);
+    seal::begin(out, &LAYOUT, |_| {});
 
     put_str(out, c.codec_name());
     put_u64(out, c.uncompressed_bytes() as u64);
@@ -485,15 +394,7 @@ pub fn serialize_into(c: &CompressedActivation, out: &mut Vec<u8>) {
         }
     };
 
-    if let Some(slot) = out.get_mut(6) {
-        *slot = tag;
-    }
-    let body_len = (out.len() - HEADER_BYTES) as u64;
-    if let Some(slot) = out.get_mut(8..16) {
-        slot.copy_from_slice(&body_len.to_le_bytes());
-    }
-    let crc = crc32(out);
-    put_u32(out, crc);
+    seal::seal(out, &LAYOUT, tag);
 }
 
 // ---------------------------------------------------------------------
@@ -506,163 +407,101 @@ pub fn serialize_into(c: &CompressedActivation, out: &mut Vec<u8>) {
 /// bad magic, unknown tag, checksum mismatch, inconsistent payload
 /// structure — is a typed [`CodecError`]; there are no panic paths.
 pub fn deserialize(bytes: &[u8]) -> Result<CompressedActivation, CodecError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        return Err(CodecError::BadFrame {
-            offset: 0,
-            what: "bad magic",
-        });
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(CodecError::BadFrame {
-            offset: 4,
-            what: "unsupported wire version",
-        });
-    }
-    let tag = r.u8()?;
-    if tag > TAG_BRC {
-        return Err(CodecError::BadFrame {
-            offset: 6,
-            what: "unknown codec tag",
-        });
-    }
-    if r.u8()? != 0 {
-        return Err(CodecError::BadFrame {
-            offset: 7,
-            what: "reserved byte must be zero",
-        });
-    }
-    let body_len = r.len_u64()?;
-    let total = HEADER_BYTES
-        .checked_add(body_len)
-        .and_then(|t| t.checked_add(4))
-        .ok_or(CodecError::BadFrame {
-            offset: 8,
-            what: "body length overflows frame size",
-        })?;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            offset: bytes.len(),
-            needed: total - bytes.len(),
-            available: 0,
-        });
-    }
-    if bytes.len() > total {
-        return Err(CodecError::BadFrame {
-            offset: total,
-            what: "trailing bytes after frame",
-        });
-    }
-    // `total == bytes.len()` and `total >= HEADER_BYTES + 4` hold here,
-    // so both lookups succeed; the empty fallbacks keep this panic-free.
-    let announced = u32::from_le_bytes(le_bytes(bytes.get(total - 4..total).unwrap_or(&[])));
-    let actual = crc32(bytes.get(..total - 4).unwrap_or(&[]));
-    if announced != actual {
-        return Err(CodecError::ChecksumMismatch {
-            expected: announced,
-            actual,
-        });
-    }
+    let (tag, _addr, mut r, body_end) = seal::open(bytes, &LAYOUT)?;
 
     // Body prelude.
-    let codec_name = r.string()?;
+    let codec_name = read_string(&mut r)?;
     let uncompressed_bytes = r.len_u64()?;
     let compressed_bytes = r.len_u64()?;
 
     let payload = match tag {
-        TAG_RAW => Payload::Raw(r.tensor()?),
+        TAG_RAW => Payload::Raw(read_tensor(&mut r)?),
         TAG_ZVC_F32 => {
-            let shape = r.shape()?;
-            let z = r.zvc()?;
+            let shape = read_shape(&mut r)?;
+            let z = read_zvc(&mut r)?;
             if z.word_bytes() != 4 {
-                return Err(r.bad("ZVC-f32 payload requires 4-byte words"));
+                return Err(bad(&r, "ZVC-f32 payload requires 4-byte words"));
             }
             if z.words() != shape.len() {
-                return Err(r.bad("ZVC word count disagrees with shape"));
+                return Err(bad(&r, "ZVC word count disagrees with shape"));
             }
             Payload::ZvcF32 { z, shape }
         }
         TAG_DPR => Payload::Dpr {
-            rounded: r.tensor()?,
+            rounded: read_tensor(&mut r)?,
         },
         TAG_GIST_CSR => {
-            let shape = r.shape()?;
+            let shape = read_shape(&mut r)?;
             let len = shape.len();
             let row_len = r.u16()? as usize;
             if !(1..=MAX_ROW).contains(&row_len) {
-                return Err(r.bad("CSR row length out of 1..=256"));
+                return Err(bad(&r, "CSR row length out of 1..=256"));
             }
             let rows = len.div_ceil(row_len);
             let ptr_bytes = rows
                 .checked_add(1)
                 .and_then(|n| n.checked_mul(4))
-                .ok_or_else(|| r.bad("CSR row pointer count overflow"))?;
+                .ok_or_else(|| bad(&r, "CSR row pointer count overflow"))?;
             let row_ptr: Vec<u32> = r
                 .take(ptr_bytes)?
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes(le_bytes(c)))
                 .collect();
             let nnz = row_ptr.last().map(|&p| p as usize).unwrap_or(0);
-            let col_src = r.take(nnz)?;
-            let mut cols: Vec<u8> = jact_pool::take(col_src.len());
-            cols.extend_from_slice(col_src);
+            let cols = read_bytes(&mut r, nnz)?;
             let vals: Vec<i8> = r.take(nnz)?.iter().map(|&b| b.cast_signed()).collect();
             let csr = Csr::from_parts(row_ptr, cols, vals, len, row_len)?;
             Payload::GistCsr { csr, shape }
         }
-        TAG_SFPR => Payload::Sfpr(r.sfpr(true)?),
+        TAG_SFPR => Payload::Sfpr(read_sfpr(&mut r, true)?),
         TAG_SFPR_ZVC => {
-            let meta = r.sfpr(false)?;
-            let z = r.zvc()?;
+            let meta = read_sfpr(&mut r, false)?;
+            let z = read_zvc(&mut r)?;
             if z.word_bytes() != 1 {
-                return Err(r.bad("SFPR+ZVC payload requires 1-byte words"));
+                return Err(bad(&r, "SFPR+ZVC payload requires 1-byte words"));
             }
             if z.words() != meta.shape().len() {
-                return Err(r.bad("ZVC word count disagrees with SFPR shape"));
+                return Err(bad(&r, "ZVC word count disagrees with SFPR shape"));
             }
             Payload::SfprZvc { meta, z }
         }
         TAG_JPEG => {
-            let meta = r.sfpr(false)?;
+            let meta = read_sfpr(&mut r, false)?;
             let quant = match r.u8()? {
                 0 => QuantKind2::Div,
                 1 => QuantKind2::Shift,
-                _ => return Err(r.bad("unknown quantizer tag")),
+                _ => return Err(bad(&r, "unknown quantizer tag")),
             };
-            let dqt = r.dqt()?;
+            let dqt = read_dqt(&mut r)?;
             let num_blocks = checked_num_blocks(meta.shape())
-                .ok_or_else(|| r.bad("block count overflow"))?;
+                .ok_or_else(|| bad(&r, "block count overflow"))?;
             let coded = match r.u8()? {
                 0 => {
                     let count = r.len_u64()?;
                     let byte_len = r.len_u64()?;
-                    let byte_src = r.take(byte_len)?;
-                    let mut bytes: Vec<u8> = jact_pool::take(byte_src.len());
-                    bytes.extend_from_slice(byte_src);
+                    let bytes = read_bytes(&mut r, byte_len)?;
                     if count != num_blocks {
-                        return Err(r.bad("RLE block count disagrees with shape"));
+                        return Err(bad(&r, "RLE block count disagrees with shape"));
                     }
                     // Every coded block consumes at least one bit, so a
                     // plausible count is bounded by the stream length —
                     // this caps the decoder's up-front allocation.
                     if count > bytes.len().saturating_mul(8) {
-                        return Err(r.bad("RLE block count exceeds stream capacity"));
+                        return Err(bad(&r, "RLE block count exceeds stream capacity"));
                     }
                     CodedBlocks::Rle { bytes, count }
                 }
                 1 => {
-                    let z = r.zvc()?;
+                    let z = read_zvc(&mut r)?;
                     if z.word_bytes() != 1 {
-                        return Err(r.bad("JPEG ZVC payload requires 1-byte words"));
+                        return Err(bad(&r, "JPEG ZVC payload requires 1-byte words"));
                     }
                     if Some(z.words()) != num_blocks.checked_mul(64) {
-                        return Err(r.bad("ZVC word count disagrees with block count"));
+                        return Err(bad(&r, "ZVC word count disagrees with block count"));
                     }
                     CodedBlocks::Zvc(z)
                 }
-                _ => return Err(r.bad("unknown coded-blocks tag")),
+                _ => return Err(bad(&r, "unknown coded-blocks tag")),
             };
             Payload::Jpeg(JpegPayload {
                 meta,
@@ -672,23 +511,16 @@ pub fn deserialize(bytes: &[u8]) -> Result<CompressedActivation, CodecError> {
             })
         }
         TAG_BRC => {
-            let shape = r.shape()?;
-            let bit_src = r.take(shape.len().div_ceil(8))?;
-            let mut bits: Vec<u8> = jact_pool::take(bit_src.len());
-            bits.extend_from_slice(bit_src);
+            let shape = read_shape(&mut r)?;
+            let bits = read_bytes(&mut r, shape.len().div_ceil(8))?;
             Payload::Brc(BrcMask::from_parts(bits, shape)?)
         }
-        _ => {
-            // Tag range was validated above.
-            return Err(r.bad("unknown codec tag"));
-        }
+        // `open` validated the tag range.
+        _ => return Err(bad(&r, "unknown codec tag")),
     };
 
-    if r.pos != HEADER_BYTES + body_len {
-        return Err(CodecError::BadFrame {
-            offset: r.pos,
-            what: "body has trailing bytes",
-        });
+    if r.pos() != body_end {
+        return Err(bad(&r, "body has trailing bytes"));
     }
 
     Ok(CompressedActivation::from_wire_parts(
@@ -697,121 +529,6 @@ pub fn deserialize(bytes: &[u8]) -> Result<CompressedActivation, CodecError> {
         compressed_bytes,
         codec_name,
     ))
-}
-
-// ---------------------------------------------------------------------
-// Streaming frame reassembly.
-// ---------------------------------------------------------------------
-
-/// Incremental reassembler for a byte stream carrying concatenated
-/// [`serialize`]d frames.
-///
-/// A transport (PCIe DMA window, socket, in-process pipe) delivers bytes
-/// at arbitrary boundaries; [`FrameAssembler::push`] accepts each chunk
-/// and yields every frame completed by it, holding partial tails across
-/// calls. Malformed input — wrong magic, an announced body length above
-/// the configured cap — surfaces as a typed [`CodecError`] immediately,
-/// without waiting for the full (possibly unbounded) frame to arrive.
-/// The assembler only *delimits* frames; callers still [`deserialize`]
-/// each yielded buffer, which is where the CRC is checked.
-#[derive(Debug)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    max_frame_bytes: usize,
-    frames_out: u64,
-}
-
-impl FrameAssembler {
-    /// Creates an assembler that rejects frames whose total encoded size
-    /// (header + body + CRC) exceeds `max_frame_bytes`.
-    pub fn new(max_frame_bytes: usize) -> Self {
-        FrameAssembler {
-            buf: Vec::new(),
-            max_frame_bytes,
-            frames_out: 0,
-        }
-    }
-
-    /// Bytes of the partial frame currently buffered.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Frames yielded across the assembler's lifetime.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out
-    }
-
-    /// Feeds one chunk of stream bytes, returning every frame it
-    /// completes (possibly none, possibly several).
-    ///
-    /// After an error the assembler's buffer state is unspecified;
-    /// protocol errors on a byte stream are not recoverable mid-stream,
-    /// so callers should discard the assembler (and typically the
-    /// connection).
-    pub fn push(&mut self, chunk: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
-        self.buf.extend_from_slice(chunk);
-        let mut out = Vec::new();
-        loop {
-            // Validate the magic on however much of it has arrived, so
-            // a stray stream desynchronisation fails fast instead of
-            // waiting for 16 header bytes.
-            let have_magic = self.buf.len().min(MAGIC.len());
-            if self.buf.get(..have_magic) != MAGIC.get(..have_magic) {
-                return Err(CodecError::BadFrame {
-                    offset: 0,
-                    what: "bad magic",
-                });
-            }
-            if self.buf.len() < HEADER_BYTES {
-                return Ok(out);
-            }
-            let body_len =
-                u64::from_le_bytes(le_bytes(self.buf.get(8..16).unwrap_or(&[]))) as usize;
-            let total = HEADER_BYTES
-                .checked_add(body_len)
-                .and_then(|t| t.checked_add(4))
-                .ok_or(CodecError::BadFrame {
-                    offset: 8,
-                    what: "body length overflows frame size",
-                })?;
-            if total > self.max_frame_bytes {
-                return Err(CodecError::BadFrame {
-                    offset: 8,
-                    what: "frame exceeds assembler size cap",
-                });
-            }
-            if self.buf.len() < total {
-                return Ok(out);
-            }
-            let rest = self.buf.split_off(total);
-            out.push(std::mem::replace(&mut self.buf, rest));
-            self.frames_out += 1;
-        }
-    }
-
-    /// Declares end-of-stream: fails with [`CodecError::Truncated`] if a
-    /// partial frame is still buffered.
-    pub fn finish(&self) -> Result<(), CodecError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let needed = if self.buf.len() < HEADER_BYTES {
-            HEADER_BYTES - self.buf.len()
-        } else {
-            let body_len =
-                u64::from_le_bytes(le_bytes(self.buf.get(8..16).unwrap_or(&[]))) as usize;
-            HEADER_BYTES
-                .saturating_add(body_len)
-                .saturating_add(4)
-                .saturating_sub(self.buf.len())
-        };
-        Err(CodecError::Truncated {
-            offset: self.buf.len(),
-            needed,
-            available: 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -981,7 +698,13 @@ mod tests {
         }
     }
 
-    // ---- FrameAssembler ----
+    // ---- seal::Assembler over the JACT layout ----
+
+    use crate::seal::Assembler;
+
+    fn assembler() -> Assembler {
+        Assembler::new(LAYOUT, 1 << 20)
+    }
 
     fn two_frames() -> (Vec<u8>, Vec<u8>) {
         (
@@ -995,11 +718,10 @@ mod tests {
         let (a, b) = two_frames();
         let stream: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
         for cut in 0..=stream.len() {
-            let mut asm = FrameAssembler::new(1 << 20);
+            let mut asm = assembler();
             let mut frames = asm.push(&stream[..cut]).unwrap();
             frames.extend(asm.push(&stream[cut..]).unwrap());
             assert_eq!(frames, vec![a.clone(), b.clone()], "cut={cut}");
-            assert_eq!(asm.frames_out(), 2);
             assert_eq!(asm.pending_bytes(), 0);
             asm.finish().unwrap();
         }
@@ -1008,7 +730,7 @@ mod tests {
     #[test]
     fn assembler_byte_at_a_time() {
         let (a, b) = two_frames();
-        let mut asm = FrameAssembler::new(1 << 20);
+        let mut asm = assembler();
         let mut frames = Vec::new();
         for &byte in a.iter().chain(b.iter()) {
             frames.extend(asm.push(&[byte]).unwrap());
@@ -1021,67 +743,53 @@ mod tests {
     fn assembler_one_chunk_many_frames() {
         let (a, b) = two_frames();
         let stream: Vec<u8> = [a.as_slice(), b.as_slice(), a.as_slice()].concat();
-        let mut asm = FrameAssembler::new(1 << 20);
-        let frames = asm.push(&stream).unwrap();
+        let frames = assembler().push(&stream).unwrap();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[2], a);
     }
 
     #[test]
     fn assembler_rejects_bad_magic_on_first_bytes() {
-        let mut asm = FrameAssembler::new(1 << 20);
-        assert!(matches!(
-            asm.push(b"JUNK"),
-            Err(CodecError::BadFrame { offset: 0, .. })
-        ));
+        assert_eq!(assembler().push(b"JUNK"), Err(FrameError::BadMagic));
         // Even a single wrong byte fails fast.
-        let mut asm = FrameAssembler::new(1 << 20);
-        assert!(matches!(
-            asm.push(b"X"),
-            Err(CodecError::BadFrame { offset: 0, .. })
-        ));
+        assert_eq!(assembler().push(b"X"), Err(FrameError::BadMagic));
     }
 
     #[test]
     fn assembler_rejects_oversize_announcement() {
-        let mut header = Vec::new();
-        header.extend_from_slice(&MAGIC);
-        put_u16(&mut header, VERSION);
-        header.push(0);
-        header.push(0);
-        put_u64(&mut header, u64::MAX - 8); // total overflows usize math
-        let mut asm = FrameAssembler::new(1 << 20);
+        let header = |body_len: u64| {
+            let mut h = Vec::new();
+            seal::begin(&mut h, &LAYOUT, |_| {});
+            h[8..16].copy_from_slice(&body_len.to_le_bytes());
+            h
+        };
+        // Total overflows usize math.
+        assert_eq!(
+            assembler().push(&header(u64::MAX - 8)),
+            Err(FrameError::BadLength { offset: 8 })
+        );
+        // Over the 1 MiB cap.
+        let err = assembler().push(&header(1 << 30)).unwrap_err();
+        assert!(matches!(err, FrameError::Oversize { max: 1048576, .. }));
         assert!(matches!(
-            asm.push(&header),
-            Err(CodecError::BadFrame { offset: 8, .. })
-        ));
-
-        let mut header = Vec::new();
-        header.extend_from_slice(&MAGIC);
-        put_u16(&mut header, VERSION);
-        header.push(0);
-        header.push(0);
-        put_u64(&mut header, 1 << 30); // over the 1 MiB cap
-        let mut asm = FrameAssembler::new(1 << 20);
-        assert!(matches!(
-            asm.push(&header),
-            Err(CodecError::BadFrame { offset: 8, .. })
+            CodecError::from(err),
+            CodecError::BadFrame { offset: 8, .. }
         ));
     }
 
     #[test]
     fn assembler_finish_mid_frame_is_truncated() {
         let (a, _) = two_frames();
-        let mut asm = FrameAssembler::new(1 << 20);
+        let mut asm = assembler();
         assert!(asm.push(&a[..a.len() - 1]).unwrap().is_empty());
-        match asm.finish() {
+        match asm.finish().map_err(CodecError::from) {
             Err(CodecError::Truncated { needed, .. }) => assert_eq!(needed, 1),
             other => panic!("expected truncation, got {other:?}"),
         }
         // A bare partial header reports the distance to a full header.
-        let mut asm = FrameAssembler::new(1 << 20);
+        let mut asm = assembler();
         assert!(asm.push(&a[..5]).unwrap().is_empty());
-        match asm.finish() {
+        match asm.finish().map_err(CodecError::from) {
             Err(CodecError::Truncated { needed, .. }) => assert_eq!(needed, HEADER_BYTES - 5),
             other => panic!("expected truncation, got {other:?}"),
         }
@@ -1091,8 +799,7 @@ mod tests {
     fn assembler_yields_frames_that_deserialize() {
         let (a, b) = two_frames();
         let stream: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
-        let mut asm = FrameAssembler::new(1 << 20);
-        for f in asm.push(&stream).unwrap() {
+        for f in assembler().push(&stream).unwrap() {
             deserialize(&f).unwrap();
         }
     }

@@ -1,4 +1,4 @@
-//! Inference daemon configuration and the `JACT_INFER_*` env knobs.
+//! Inference daemon configuration.
 
 use jact_codec::pipeline::{Codec, JpegActCodec, RawCodec, ZvcF32Codec};
 use jact_codec::dqt::Dqt;
@@ -20,7 +20,7 @@ pub enum BoundaryMode {
 }
 
 impl BoundaryMode {
-    /// Stable name used in benches, env vars, and experiment tables.
+    /// Stable name used in benches and experiment tables.
     pub fn name(self) -> &'static str {
         match self {
             BoundaryMode::Uncompressed => "uncompressed",
@@ -29,8 +29,8 @@ impl BoundaryMode {
         }
     }
 
-    /// Parses a mode name; unknown names fall back to `Uncompressed`
-    /// so a mistyped env var degrades to the safe baseline.
+    /// Parses a mode name; unknown names fall back to `Uncompressed`,
+    /// the safe baseline.
     pub fn from_name(name: &str) -> Self {
         match name {
             "zvc" => BoundaryMode::Zvc,
@@ -79,33 +79,10 @@ pub struct InferConfig {
     pub max_inflight_per_client: usize,
     /// Total queued payload byte quota (`ByteQuota` sheds).
     pub max_queued_bytes: usize,
-    /// Largest envelope `decode` accepts.
-    pub max_envelope_bytes: usize,
     /// Per-byte fault rate injected into each boundary frame (0 = off).
     pub fault_rate: f64,
     /// Seed for the boundary fault injector.
     pub fault_seed: u64,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 impl Default for InferConfig {
@@ -122,7 +99,6 @@ impl Default for InferConfig {
             queue_cap: 256,
             max_inflight_per_client: 64,
             max_queued_bytes: 64 << 20,
-            max_envelope_bytes: 16 << 20,
             fault_rate: 0.0,
             fault_seed: 0x5EED_F417,
         }
@@ -130,34 +106,6 @@ impl Default for InferConfig {
 }
 
 impl InferConfig {
-    /// Builds a config from the environment, falling back to defaults:
-    ///
-    /// * `JACT_INFER_MODEL` — registry model name;
-    /// * `JACT_INFER_CODEC` — `uncompressed` | `zvc` | `jpeg-act`;
-    /// * `JACT_INFER_MAX_BATCH` — batch coalescing cap;
-    /// * `JACT_INFER_MAX_WAIT` — max wait in ticks before a partial batch;
-    /// * `JACT_INFER_QUEUE_CAP` — admission queue capacity;
-    /// * `JACT_INFER_MAX_INFLIGHT` — per-client queued-request quota;
-    /// * `JACT_INFER_MAX_BYTES` — total queued payload byte quota;
-    /// * `JACT_INFER_FAULT_RATE` — per-byte boundary fault rate.
-    pub fn from_env() -> Self {
-        let d = InferConfig::default();
-        InferConfig {
-            model: std::env::var("JACT_INFER_MODEL").unwrap_or(d.model),
-            boundary: BoundaryMode::from_name(
-                &std::env::var("JACT_INFER_CODEC").unwrap_or_default(),
-            ),
-            max_batch: env_usize("JACT_INFER_MAX_BATCH", d.max_batch).max(1),
-            max_wait_ticks: env_u64("JACT_INFER_MAX_WAIT", d.max_wait_ticks),
-            queue_cap: env_usize("JACT_INFER_QUEUE_CAP", d.queue_cap).max(1),
-            max_inflight_per_client: env_usize("JACT_INFER_MAX_INFLIGHT", d.max_inflight_per_client)
-                .max(1),
-            max_queued_bytes: env_usize("JACT_INFER_MAX_BYTES", d.max_queued_bytes),
-            fault_rate: env_f64("JACT_INFER_FAULT_RATE", d.fault_rate),
-            ..d
-        }
-    }
-
     /// Sets the boundary mode (builder-style, for harnesses).
     pub fn with_boundary(mut self, b: BoundaryMode) -> Self {
         self.boundary = b;

@@ -4,6 +4,7 @@
 //! admitting a request, or executing a batch surfaces here as a variant
 //! — the wire surface is total over hostile bytes and never panics.
 
+use jact_codec::seal::FrameError;
 use jact_serve::OverloadReason;
 use std::fmt;
 
@@ -174,6 +175,23 @@ impl fmt::Display for InferError {
 }
 
 impl std::error::Error for InferError {}
+
+impl From<FrameError> for InferError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => InferError::BadMagic,
+            FrameError::BadVersion { got } => InferError::BadVersion { got },
+            FrameError::BadTag { got } => InferError::BadTag { got },
+            FrameError::BadReserved => InferError::BadReserved,
+            FrameError::BadLength { .. } => InferError::Truncated { what: "total" },
+            FrameError::Truncated { .. } => InferError::Truncated { what: "field" },
+            FrameError::Incomplete { .. } => InferError::Truncated { what: "body" },
+            FrameError::Trailing { extra, .. } => InferError::TrailingBytes { extra },
+            FrameError::Checksum { .. } => InferError::ChecksumMismatch,
+            FrameError::Oversize { len, max } => InferError::Oversize { got: len, max },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

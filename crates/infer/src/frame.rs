@@ -1,13 +1,9 @@
 //! The inference envelope: a length-prefixed, CRC-sealed container for
 //! inference requests and responses.
 //!
-//! Layout mirrors the serve envelope (`jact-serve::frame`) so one
-//! assembler strategy serves both daemons:
-//!
-//! ```text
-//! magic "JINF" (4) | version u16 | tag u8 | reserved u8 |
-//! client u32 | seq u64 | body_len u64 | body | crc32 u32
-//! ```
+//! It is a `jact_codec::seal` container ([`LAYOUT`]): magic `b"JINF"`,
+//! a 12-byte address (`client u32 | seq u64`, the serve envelope's
+//! 28-byte header geometry), tags 1=Request .. 4=Error.
 //!
 //! `decode` is **total** over hostile bytes: every malformed input maps
 //! to exactly one typed [`InferError`]; nothing panics.  All payload
@@ -16,18 +12,14 @@
 //! global allocator.
 
 use crate::error::InferError;
-use jact_codec::wire::crc32;
+use jact_codec::seal::{self, le_bytes, put_u16, put_u32, put_u64, Layout, Reader};
 
 /// Frame magic: "JINF".
 pub const INFER_MAGIC: [u8; 4] = *b"JINF";
 /// Protocol version this build speaks.
 pub const INFER_VERSION: u16 = 1;
-/// Fixed header size in bytes (before the body and CRC seal).
-pub const HEADER_BYTES: usize = 28;
-/// Byte offset of the `body_len` field inside the header.
-pub const BODY_LEN_OFFSET: usize = 20;
 /// Trailing CRC seal size in bytes.
-pub const SEAL_BYTES: usize = 4;
+pub const SEAL_BYTES: usize = seal::TRAILER_BYTES;
 
 /// Tag: inference request (feature map in).
 pub const TAG_INFER_REQ: u8 = 1;
@@ -37,8 +29,17 @@ pub const TAG_INFER_OK: u8 = 2;
 pub const TAG_INFER_DEGRADED: u8 = 3;
 /// Tag: typed error response.
 pub const TAG_ERROR: u8 = 4;
-/// Largest valid tag.
-pub const TAG_MAX: u8 = TAG_ERROR;
+
+/// The sealed-container layout of an inference envelope.
+pub const LAYOUT: Layout = Layout {
+    magic: INFER_MAGIC,
+    version: INFER_VERSION,
+    addr_bytes: 12,
+    min_tag: TAG_INFER_REQ,
+    max_tag: TAG_ERROR,
+};
+/// Fixed header size in bytes (before the body and CRC seal).
+pub const HEADER_BYTES: usize = LAYOUT.header_bytes();
 
 /// Largest pixel/logit count a frame may declare (16 MiB of f32s).
 pub const MAX_ELEMS: usize = 4 << 20;
@@ -119,30 +120,14 @@ impl InferEnvelope {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Serializes `env` into `out` (cleared first, capacity reused) and
 /// seals it with a CRC.  With a pooled `out` the encode path is
 /// allocation-free once warm.
 pub fn encode_into(env: &InferEnvelope, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&INFER_MAGIC);
-    put_u16(out, INFER_VERSION);
-    out.push(env.msg.tag());
-    out.push(0); // reserved
-    put_u32(out, env.client);
-    put_u64(out, env.seq);
-    put_u64(out, 0); // body_len, patched below
+    seal::begin(out, &LAYOUT, |out| {
+        put_u32(out, env.client);
+        put_u64(out, env.seq);
+    });
     match &env.msg {
         InferMsg::Request { c, h, w, pixels } => {
             put_u32(out, *c);
@@ -165,12 +150,7 @@ pub fn encode_into(env: &InferEnvelope, out: &mut Vec<u8>) {
             put_u64(out, *c);
         }
     }
-    let body_len = (out.len() - HEADER_BYTES) as u64;
-    if let Some(slot) = out.get_mut(BODY_LEN_OFFSET..BODY_LEN_OFFSET + 8) {
-        slot.copy_from_slice(&body_len.to_le_bytes());
-    }
-    let seal = crc32(out);
-    put_u32(out, seal);
+    seal::seal(out, &LAYOUT, env.msg.tag());
 }
 
 /// Serializes `env` into a pooled buffer.
@@ -180,123 +160,29 @@ pub fn encode(env: &InferEnvelope) -> Vec<u8> {
     out
 }
 
-/// Fixed-width slice-to-array conversion that cannot panic: short
-/// slices (already excluded by the reader) yield zeroes.
-fn le_bytes<const N: usize>(s: &[u8]) -> [u8; N] {
-    s.try_into().unwrap_or([0u8; N])
-}
-
-/// Bounds-checked sequential reader over one frame.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+/// Reads `count` little-endian f32s into a pooled buffer.
+fn f32s(r: &mut Reader<'_>, count: usize) -> Result<Vec<f32>, InferError> {
+    let bytes = r.take(count * 4)?;
+    let mut out: Vec<f32> = jact_pool::take(count);
+    for ch in bytes.chunks_exact(4) {
+        out.push(f32::from_le_bytes(le_bytes(ch)));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], InferError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(InferError::Truncated { what })?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(InferError::Truncated { what })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, InferError> {
-        Ok(self.take(1, what)?.first().copied().unwrap_or(0))
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, InferError> {
-        Ok(u16::from_le_bytes(le_bytes(self.take(2, what)?)))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, InferError> {
-        Ok(u32::from_le_bytes(le_bytes(self.take(4, what)?)))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, InferError> {
-        Ok(u64::from_le_bytes(le_bytes(self.take(8, what)?)))
-    }
-
-    /// Reads `count` little-endian f32s into a pooled buffer.
-    fn f32s(&mut self, count: usize, what: &'static str) -> Result<Vec<f32>, InferError> {
-        let bytes = self.take(count * 4, what)?;
-        let mut out: Vec<f32> = jact_pool::take(count);
-        for ch in bytes.chunks_exact(4) {
-            out.push(f32::from_le_bytes(le_bytes(ch)));
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// Decodes one sealed frame.  Total: every outcome is `Ok` or exactly
 /// one typed [`InferError`]; hostile bytes can never panic, and no
 /// pooled buffer leaks on the error paths.
 pub fn decode(buf: &[u8]) -> Result<InferEnvelope, InferError> {
-    let mut r = Reader::new(buf);
-    let magic = r.take(4, "magic")?;
-    if magic != INFER_MAGIC {
-        return Err(InferError::BadMagic);
-    }
-    let version = r.u16("version")?;
-    if version != INFER_VERSION {
-        return Err(InferError::BadVersion { got: version });
-    }
-    let tag = r.u8("tag")?;
-    if tag == 0 || tag > TAG_MAX {
-        return Err(InferError::BadTag { got: tag });
-    }
-    let reserved = r.u8("reserved")?;
-    if reserved != 0 {
-        return Err(InferError::BadReserved);
-    }
-    let client = r.u32("client")?;
-    let seq = r.u64("seq")?;
-    let body_len = r.u64("body_len")?;
-    let max = MAX_ELEMS * 4 + 16;
-    if body_len > max as u64 {
-        return Err(InferError::Oversize {
-            got: body_len.min(usize::MAX as u64) as usize,
-            max,
-        });
-    }
-    let body_len = body_len as usize;
-    let total = HEADER_BYTES
-        .checked_add(body_len)
-        .and_then(|t| t.checked_add(SEAL_BYTES))
-        .ok_or(InferError::Truncated { what: "total" })?;
-    if buf.len() < total {
-        return Err(InferError::Truncated { what: "body" });
-    }
-    if buf.len() > total {
-        return Err(InferError::TrailingBytes {
-            extra: buf.len() - total,
-        });
-    }
-    let sealed = buf.get(..total - SEAL_BYTES).unwrap_or(buf);
-    let seal_bytes = buf.get(total - SEAL_BYTES..).unwrap_or(&[]);
-    let seal = u32::from_le_bytes(le_bytes(seal_bytes));
-    if crc32(sealed) != seal {
-        return Err(InferError::ChecksumMismatch);
-    }
-    let body_end = HEADER_BYTES + body_len;
+    let (tag, addr, mut r, body_end) = seal::open(buf, &LAYOUT)?;
+    let mut addr = Reader::new(addr);
+    let client = addr.u32()?;
+    let seq = addr.u64()?;
     let msg = match tag {
         TAG_INFER_REQ => {
-            let c = r.u32("shape.c")?;
-            let h = r.u32("shape.h")?;
-            let w = r.u32("shape.w")?;
+            let c = r.u32()?;
+            let h = r.u32()?;
+            let w = r.u32()?;
             if c == 0 || h == 0 || w == 0 {
                 return Err(InferError::BadShape);
             }
@@ -314,121 +200,37 @@ pub fn decode(buf: &[u8]) -> Result<InferEnvelope, InferError> {
             if r.remaining() != count * 4 + SEAL_BYTES {
                 return Err(InferError::BadShape);
             }
-            let pixels = r.f32s(count, "pixels")?;
+            let pixels = f32s(&mut r, count)?;
             InferMsg::Request { c, h, w, pixels }
         }
         TAG_INFER_OK | TAG_INFER_DEGRADED => {
-            let n = r.u32("logit_count")? as usize;
+            let n = r.u32()? as usize;
             if n > MAX_ELEMS {
                 return Err(InferError::Oversize { got: n, max: MAX_ELEMS });
             }
             if r.remaining() != n * 4 + SEAL_BYTES {
                 return Err(InferError::BadShape);
             }
-            let logits = r.f32s(n, "logits")?;
+            let logits = f32s(&mut r, n)?;
             InferMsg::Response {
                 degraded: tag == TAG_INFER_DEGRADED,
                 logits,
             }
         }
         _ => {
-            let code = r.u16("err.code")?;
-            let a = r.u64("err.a")?;
-            let b = r.u64("err.b")?;
-            let c = r.u64("err.c")?;
+            let code = r.u16()?;
+            let a = r.u64()?;
+            let b = r.u64()?;
+            let c = r.u64()?;
             InferMsg::Error { code, a, b, c }
         }
     };
-    if r.pos != body_end {
+    if r.pos() != body_end {
         // Reclaim any pooled payload before surfacing the error.
         InferEnvelope { client, seq, msg }.recycle();
         return Err(InferError::BadShape);
     }
     Ok(InferEnvelope { client, seq, msg })
-}
-
-/// Splits a byte stream into length-delimited sealed frames.
-///
-/// Mirrors the serve assembler: bytes accumulate in a pooled buffer
-/// until a complete frame (header + declared body + seal) is present,
-/// which is then handed out for [`decode`].  A declared frame larger
-/// than `max_frame_bytes` is a typed error — a hostile peer cannot make
-/// the assembler buffer unboundedly.
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    max_frame_bytes: usize,
-    frames_out: u64,
-}
-
-impl FrameAssembler {
-    /// Creates an assembler with the given frame-size cap.
-    pub fn new(max_frame_bytes: usize) -> Self {
-        FrameAssembler {
-            buf: jact_pool::take(4096),
-            max_frame_bytes,
-            frames_out: 0,
-        }
-    }
-
-    /// Bytes currently buffered waiting for a frame boundary.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Complete frames handed out so far.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out
-    }
-
-    /// Feeds `chunk`, appending each completed frame to `out` as a
-    /// pooled buffer (the caller should `jact_pool::give` them back).
-    ///
-    /// # Errors
-    ///
-    /// [`InferError::BadMagic`] when the stream is not frame-aligned and
-    /// [`InferError::Oversize`] when a declared frame exceeds the cap;
-    /// both poison the stream, and the caller should drop the peer.
-    pub fn push_bytes(
-        &mut self,
-        chunk: &[u8],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<(), InferError> {
-        self.buf.extend_from_slice(chunk);
-        loop {
-            if self.buf.len() < HEADER_BYTES {
-                return Ok(());
-            }
-            if self.buf.get(..4).unwrap_or(&[]) != INFER_MAGIC {
-                return Err(InferError::BadMagic);
-            }
-            let len_slice = self
-                .buf
-                .get(BODY_LEN_OFFSET..BODY_LEN_OFFSET + 8)
-                .unwrap_or(&[]);
-            let body_len = u64::from_le_bytes(le_bytes(len_slice));
-            if body_len > self.max_frame_bytes as u64 {
-                return Err(InferError::Oversize {
-                    got: body_len.min(usize::MAX as u64) as usize,
-                    max: self.max_frame_bytes,
-                });
-            }
-            let total = HEADER_BYTES + body_len as usize + SEAL_BYTES;
-            if self.buf.len() < total {
-                return Ok(());
-            }
-            let mut frame: Vec<u8> = jact_pool::take(total);
-            frame.extend_from_slice(self.buf.get(..total).unwrap_or(&[]));
-            self.buf.drain(..total);
-            self.frames_out += 1;
-            out.push(frame);
-        }
-    }
-}
-
-impl Drop for FrameAssembler {
-    fn drop(&mut self) {
-        jact_pool::give(std::mem::take(&mut self.buf));
-    }
 }
 
 #[cfg(test)]
@@ -526,39 +328,5 @@ mod tests {
         };
         let bytes = encode(&env);
         assert!(decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn assembler_reassembles_byte_by_byte() {
-        let envs = sample_envelopes();
-        let mut stream = Vec::new();
-        for e in &envs {
-            stream.extend_from_slice(&encode(e));
-        }
-        let mut asm = FrameAssembler::new(1 << 20);
-        let mut frames = Vec::new();
-        for b in &stream {
-            asm.push_bytes(std::slice::from_ref(b), &mut frames).expect("aligned");
-        }
-        assert_eq!(frames.len(), envs.len());
-        for (f, e) in frames.iter().zip(&envs) {
-            assert_eq!(&decode(f).expect("frame decodes"), e);
-        }
-        assert_eq!(asm.pending_bytes(), 0);
-        assert_eq!(asm.frames_out(), envs.len() as u64);
-    }
-
-    #[test]
-    fn assembler_caps_declared_size() {
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&INFER_MAGIC);
-        bad.extend_from_slice(&[0u8; 16]);
-        bad.extend_from_slice(&u64::MAX.to_le_bytes());
-        let mut asm = FrameAssembler::new(1 << 20);
-        let mut frames = Vec::new();
-        assert!(matches!(
-            asm.push_bytes(&bad, &mut frames),
-            Err(InferError::Oversize { .. })
-        ));
     }
 }

@@ -13,9 +13,8 @@
 //! full JPEG-ACT — as if each boundary crossed the split-inference
 //! PCIe link:
 //!
-//! * [`frame`] — the `JINF` envelope: CRC-sealed request/response
-//!   frames, total over hostile bytes, with a streaming
-//!   [`frame::FrameAssembler`];
+//! * [`frame`] — the `JINF` envelope: a `jact_codec::seal` container
+//!   of request/response frames, total over hostile bytes;
 //! * [`batcher`] — the dynamic-batching front-end: serve-style
 //!   admission (queue cap → per-client inflight → byte quota, typed
 //!   [`error::InferError::Overloaded`] sheds) feeding a

@@ -8,6 +8,7 @@
 //! missed deadline without parsing strings.
 
 use crate::clock::Tick;
+use jact_codec::seal::FrameError;
 use std::fmt;
 
 /// Why a request was shed by admission control.
@@ -204,6 +205,37 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Framing failures of the `JSRV` envelope and the `JJRN` journal keep
+/// the variants (and field values) they had before the containers shared
+/// one `seal` module.
+impl From<FrameError> for ServeError {
+    fn from(e: FrameError) -> Self {
+        let bad = |offset, what| ServeError::BadEnvelope { offset, what };
+        match e {
+            FrameError::BadMagic => ServeError::BadMagic { offset: 0 },
+            FrameError::BadVersion { .. } => bad(4, "unsupported serve version"),
+            FrameError::BadTag { .. } => bad(6, "unknown message tag"),
+            FrameError::BadReserved => bad(7, "reserved byte must be zero"),
+            FrameError::BadLength { offset } => bad(offset, "length overflows"),
+            FrameError::Truncated {
+                needed, available, ..
+            } => ServeError::Truncated {
+                needed: needed.saturating_sub(available),
+                available,
+            },
+            FrameError::Incomplete { have, want } => ServeError::Truncated {
+                needed: want.saturating_sub(have),
+                available: have,
+            },
+            FrameError::Trailing { offset, .. } => bad(offset, "trailing bytes after envelope"),
+            FrameError::Checksum { expected, actual } => {
+                ServeError::ChecksumMismatch { expected, actual }
+            }
+            FrameError::Oversize { len, max } => ServeError::Oversize { len, max },
+        }
+    }
+}
 
 impl ServeError {
     /// Encodes the error as a `(code, a, b, c)` wire tuple.  Static

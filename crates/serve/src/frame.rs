@@ -1,21 +1,15 @@
 //! The serve envelope: multiplexing framed requests over one stream.
 //!
 //! A serve **envelope** wraps one request or response between a tenant
-//! and the daemon:
-//!
-//! ```text
-//! magic "JSRV" (4) | version u16 | tag u8 | reserved u8 |
-//! tenant u32 | seq u64 | body_len u64 |            -- 28-byte header
-//! body (body_len bytes) | crc32 (4)               -- CRC over all prior
-//! ```
+//! and the daemon.  It is a `jact_codec::seal` container ([`LAYOUT`]):
+//! magic `b"JSRV"`, a 12-byte address (`tenant u32 | seq u64`, so a
+//! 28-byte header), tags 1=SaveReq .. 6=Error.
 //!
 //! Bodies carry the [`Msg`] payloads; save/load payloads embed a full
 //! `codec::wire` frame verbatim, so the inner activation container keeps
 //! its own CRC and validators.  [`decode`] is a **total function** over
 //! arbitrary bytes — every malformation is a typed
-//! [`ServeError`](crate::error::ServeError), never a panic — and
-//! [`EnvelopeAssembler`] delimits envelopes on a byte stream delivered
-//! at arbitrary chunk boundaries, holding partial tails across reads.
+//! [`ServeError`](crate::error::ServeError), never a panic.
 //!
 //! This module is on the analyzer's wire surface (JA10): hostile bytes
 //! flow through it, so it uses only bounds-checked access — no slice
@@ -23,7 +17,7 @@
 
 use crate::clock::Tick;
 use crate::error::ServeError;
-use jact_codec::wire::crc32;
+use jact_codec::seal::{self, put_u16, put_u32, put_u64, Layout, Reader};
 
 /// Magic prefix of every serve envelope.
 pub const SERVE_MAGIC: [u8; 4] = *b"JSRV";
@@ -31,20 +25,25 @@ pub const SERVE_MAGIC: [u8; 4] = *b"JSRV";
 /// Serve protocol version this build speaks.
 pub const SERVE_VERSION: u16 = 1;
 
-/// Fixed envelope header size: magic + version + tag + reserved +
-/// tenant + seq + body_len.
-pub const ENVELOPE_HEADER_BYTES: usize = 28;
-
-/// Byte offset of the `body_len` field within the header.
-pub const BODY_LEN_OFFSET: usize = 20;
-
 const TAG_SAVE_REQ: u8 = 1;
 const TAG_LOAD_REQ: u8 = 2;
 const TAG_SAVE_OK: u8 = 3;
 const TAG_LOAD_OK: u8 = 4;
 const TAG_DEGRADED: u8 = 5;
 const TAG_ERROR: u8 = 6;
-const TAG_MAX: u8 = TAG_ERROR;
+
+/// The sealed-container layout of a serve envelope.
+pub const LAYOUT: Layout = Layout {
+    magic: SERVE_MAGIC,
+    version: SERVE_VERSION,
+    addr_bytes: 12,
+    min_tag: TAG_SAVE_REQ,
+    max_tag: TAG_ERROR,
+};
+
+/// Fixed envelope header size: magic + version + tag + reserved +
+/// tenant + seq + body_len.
+pub const ENVELOPE_HEADER_BYTES: usize = LAYOUT.header_bytes();
 
 /// One request or response body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,18 +124,6 @@ pub struct Envelope {
 // Encode.
 // ---------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Serializes an envelope: header, body, CRC trailer.
 ///
 /// Thin wrapper over [`encode_into`] drawing its buffer from the pool;
@@ -156,20 +143,13 @@ fn msg_body_hint(msg: &Msg) -> usize {
 }
 
 /// Serializes an envelope into `out`, clearing it first and reusing its
-/// capacity.  Single pass: the header is written with a zero `body_len`
-/// placeholder, the body goes directly into `out`, then the length slot
-/// is patched and the CRC sealed — the bytes are identical to the
-/// historical two-buffer encoding.
+/// capacity.  Single pass: the body goes directly into `out` behind a
+/// placeholder header, then `seal::seal` patches it and runs one CRC.
 pub fn encode_into(env: &Envelope, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&SERVE_MAGIC);
-    put_u16(out, SERVE_VERSION);
-    out.push(env.msg.tag());
-    out.push(0);
-    put_u32(out, env.tenant);
-    put_u64(out, env.seq);
-    put_u64(out, 0); // body_len placeholder, patched below
-    debug_assert_eq!(out.len(), ENVELOPE_HEADER_BYTES);
+    seal::begin(out, &LAYOUT, |out| {
+        put_u32(out, env.tenant);
+        put_u64(out, env.seq);
+    });
 
     match &env.msg {
         Msg::SaveReq {
@@ -210,163 +190,45 @@ pub fn encode_into(env: &Envelope, out: &mut Vec<u8>) {
         }
     }
 
-    let body_len = (out.len() - ENVELOPE_HEADER_BYTES) as u64;
-    if let Some(slot) = out.get_mut(BODY_LEN_OFFSET..BODY_LEN_OFFSET + 8) {
-        slot.copy_from_slice(&body_len.to_le_bytes());
-    }
-    let crc = crc32(out);
-    put_u32(out, crc);
-}
-
-// ---------------------------------------------------------------------
-// Bounds-checked reader.
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).ok_or(ServeError::BadEnvelope {
-            offset: self.pos,
-            what: "length overflows",
-        })?;
-        let s = self.buf.get(self.pos..end).ok_or(ServeError::Truncated {
-            needed: end - self.buf.len().min(end),
-            available: self.buf.len().saturating_sub(self.pos),
-        })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?.first().copied().unwrap_or(0))
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(le_bytes(self.take(2)?)))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(le_bytes(self.take(4)?)))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(le_bytes(self.take(8)?)))
-    }
-
-    /// A u64 length field, additionally checked to fit `usize` and the
-    /// remaining buffer (so it can never drive an absurd allocation).
-    fn len_u64(&mut self) -> Result<usize, ServeError> {
-        let at = self.pos;
-        let v = self.u64()?;
-        let v = usize::try_from(v).map_err(|_| ServeError::BadEnvelope {
-            offset: at,
-            what: "length exceeds usize",
-        })?;
-        if v > self.buf.len().saturating_sub(self.pos) {
-            return Err(ServeError::Truncated {
-                needed: v - self.buf.len().saturating_sub(self.pos),
-                available: self.buf.len().saturating_sub(self.pos),
-            });
-        }
-        Ok(v)
-    }
-
-    fn bad(&self, what: &'static str) -> ServeError {
-        ServeError::BadEnvelope {
-            offset: self.pos,
-            what,
-        }
-    }
-}
-
-fn le_bytes<const N: usize>(s: &[u8]) -> [u8; N] {
-    s.try_into().unwrap_or([0; N])
+    seal::seal(out, &LAYOUT, env.msg.tag());
 }
 
 // ---------------------------------------------------------------------
 // Decode.
 // ---------------------------------------------------------------------
 
+fn bad(r: &Reader<'_>, what: &'static str) -> ServeError {
+    ServeError::BadEnvelope {
+        offset: r.pos(),
+        what,
+    }
+}
+
+/// Reads a u64-length-prefixed embedded frame into a pooled buffer.
+/// The bytes are bounds-checked before the buffer is sized, so a hostile
+/// length can never drive an absurd allocation.
+fn read_frame(r: &mut Reader<'_>) -> Result<Vec<u8>, ServeError> {
+    let n = r.len_u64()?;
+    let src = r.take(n)?;
+    let mut frame: Vec<u8> = jact_pool::take(n);
+    frame.extend_from_slice(src);
+    Ok(frame)
+}
+
 /// Decodes one complete envelope.  Total over arbitrary input: short
 /// buffers, bad magic, unknown tags, checksum mismatches, and
 /// inconsistent bodies are all typed [`ServeError`]s.
 pub fn decode(bytes: &[u8]) -> Result<Envelope, ServeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != SERVE_MAGIC {
-        return Err(ServeError::BadMagic { offset: 0 });
-    }
-    if r.u16()? != SERVE_VERSION {
-        return Err(ServeError::BadEnvelope {
-            offset: 4,
-            what: "unsupported serve version",
-        });
-    }
-    let tag = r.u8()?;
-    if tag == 0 || tag > TAG_MAX {
-        return Err(ServeError::BadEnvelope {
-            offset: 6,
-            what: "unknown message tag",
-        });
-    }
-    if r.u8()? != 0 {
-        return Err(ServeError::BadEnvelope {
-            offset: 7,
-            what: "reserved byte must be zero",
-        });
-    }
-    let tenant = r.u32()?;
-    let seq = r.u64()?;
-    let body_len = {
-        let at = r.pos;
-        let v = r.u64()?;
-        usize::try_from(v).map_err(|_| ServeError::BadEnvelope {
-            offset: at,
-            what: "body length exceeds usize",
-        })?
-    };
-    let total = ENVELOPE_HEADER_BYTES
-        .checked_add(body_len)
-        .and_then(|t| t.checked_add(4))
-        .ok_or(ServeError::BadEnvelope {
-            offset: BODY_LEN_OFFSET,
-            what: "body length overflows envelope size",
-        })?;
-    if bytes.len() < total {
-        return Err(ServeError::Truncated {
-            needed: total - bytes.len(),
-            available: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(ServeError::BadEnvelope {
-            offset: total,
-            what: "trailing bytes after envelope",
-        });
-    }
-    let announced = u32::from_le_bytes(le_bytes(bytes.get(total - 4..total).unwrap_or(&[])));
-    let actual = crc32(bytes.get(..total - 4).unwrap_or(&[]));
-    if announced != actual {
-        return Err(ServeError::ChecksumMismatch {
-            expected: announced,
-            actual,
-        });
-    }
+    let (tag, addr, mut r, body_end) = seal::open(bytes, &LAYOUT)?;
+    let mut addr = Reader::new(addr);
+    let tenant = addr.u32()?;
+    let seq = addr.u64()?;
 
     let msg = match tag {
         TAG_SAVE_REQ => {
             let tensor = r.u64()?;
             let deadline = r.u64()?;
-            let n = r.len_u64()?;
-            let mut frame: Vec<u8> = jact_pool::take(n);
-            frame.extend_from_slice(r.take(n)?);
+            let frame = read_frame(&mut r)?;
             Msg::SaveReq {
                 tensor,
                 deadline,
@@ -383,11 +245,9 @@ pub fn decode(bytes: &[u8]) -> Result<Envelope, ServeError> {
             let cached = match r.u8()? {
                 0 => false,
                 1 => true,
-                _ => return Err(r.bad("cached flag must be 0 or 1")),
+                _ => return Err(bad(&r, "cached flag must be 0 or 1")),
             };
-            let n = r.len_u64()?;
-            let mut frame: Vec<u8> = jact_pool::take(n);
-            frame.extend_from_slice(r.take(n)?);
+            let frame = read_frame(&mut r)?;
             Msg::LoadOk {
                 tensor,
                 cached,
@@ -407,123 +267,14 @@ pub fn decode(bytes: &[u8]) -> Result<Envelope, ServeError> {
                 err: ServeError::from_wire(code, a, b, c),
             }
         }
-        _ => return Err(r.bad("unknown message tag")),
+        // `open` validated the tag range.
+        _ => return Err(bad(&r, "unknown message tag")),
     };
 
-    if r.pos != ENVELOPE_HEADER_BYTES + body_len {
-        return Err(ServeError::BadEnvelope {
-            offset: r.pos,
-            what: "body has trailing bytes",
-        });
+    if r.pos() != body_end {
+        return Err(bad(&r, "body has trailing bytes"));
     }
     Ok(Envelope { tenant, seq, msg })
-}
-
-// ---------------------------------------------------------------------
-// Streaming reassembly.
-// ---------------------------------------------------------------------
-
-/// Incremental delimiter for a byte stream of concatenated envelopes.
-///
-/// Mirrors `codec::wire::FrameAssembler` for the serve header geometry:
-/// [`push`](EnvelopeAssembler::push) accepts chunks cut at arbitrary
-/// boundaries and yields every envelope completed by them; malformed
-/// prefixes (wrong magic, oversize announcements) fail fast with a
-/// typed error instead of buffering without bound.
-#[derive(Debug)]
-pub struct EnvelopeAssembler {
-    buf: Vec<u8>,
-    max_envelope_bytes: usize,
-    envelopes_out: u64,
-}
-
-impl EnvelopeAssembler {
-    /// Creates an assembler rejecting envelopes whose total size exceeds
-    /// `max_envelope_bytes`.
-    pub fn new(max_envelope_bytes: usize) -> Self {
-        EnvelopeAssembler {
-            buf: Vec::new(),
-            max_envelope_bytes,
-            envelopes_out: 0,
-        }
-    }
-
-    /// Bytes of the partial envelope currently buffered.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Envelopes yielded across the assembler's lifetime.
-    pub fn envelopes_out(&self) -> u64 {
-        self.envelopes_out
-    }
-
-    /// Feeds one chunk, returning every envelope byte-buffer it
-    /// completes.  After an error the stream is desynchronised and the
-    /// assembler should be discarded along with the connection.
-    pub fn push(&mut self, chunk: &[u8]) -> Result<Vec<Vec<u8>>, ServeError> {
-        self.buf.extend_from_slice(chunk);
-        let mut out = Vec::new();
-        loop {
-            let have_magic = self.buf.len().min(SERVE_MAGIC.len());
-            if self.buf.get(..have_magic) != SERVE_MAGIC.get(..have_magic) {
-                return Err(ServeError::BadMagic { offset: 0 });
-            }
-            if self.buf.len() < ENVELOPE_HEADER_BYTES {
-                return Ok(out);
-            }
-            let body_len = u64::from_le_bytes(le_bytes(
-                self.buf
-                    .get(BODY_LEN_OFFSET..BODY_LEN_OFFSET + 8)
-                    .unwrap_or(&[]),
-            ));
-            let total = usize::try_from(body_len)
-                .ok()
-                .and_then(|b| ENVELOPE_HEADER_BYTES.checked_add(b))
-                .and_then(|t| t.checked_add(4))
-                .ok_or(ServeError::BadEnvelope {
-                    offset: BODY_LEN_OFFSET,
-                    what: "body length overflows envelope size",
-                })?;
-            if total > self.max_envelope_bytes {
-                return Err(ServeError::Oversize {
-                    len: total,
-                    max: self.max_envelope_bytes,
-                });
-            }
-            if self.buf.len() < total {
-                return Ok(out);
-            }
-            let rest = self.buf.split_off(total);
-            out.push(std::mem::replace(&mut self.buf, rest));
-            self.envelopes_out += 1;
-        }
-    }
-
-    /// Declares end-of-stream: a buffered partial envelope is a typed
-    /// truncation.
-    pub fn finish(&self) -> Result<(), ServeError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let needed = if self.buf.len() < ENVELOPE_HEADER_BYTES {
-            ENVELOPE_HEADER_BYTES - self.buf.len()
-        } else {
-            let body_len = u64::from_le_bytes(le_bytes(
-                self.buf
-                    .get(BODY_LEN_OFFSET..BODY_LEN_OFFSET + 8)
-                    .unwrap_or(&[]),
-            )) as usize;
-            ENVELOPE_HEADER_BYTES
-                .saturating_add(body_len)
-                .saturating_add(4)
-                .saturating_sub(self.buf.len())
-        };
-        Err(ServeError::Truncated {
-            needed,
-            available: self.buf.len(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -651,53 +402,5 @@ mod tests {
             decode(&bad),
             Err(ServeError::BadEnvelope { offset: 6, .. })
         ));
-    }
-
-    #[test]
-    fn assembler_reassembles_at_every_split() {
-        let envs = sample_envelopes();
-        let stream: Vec<u8> = envs.iter().flat_map(encode).collect();
-        let encoded: Vec<Vec<u8>> = envs.iter().map(encode).collect();
-        for cut in 0..=stream.len() {
-            let mut asm = EnvelopeAssembler::new(1 << 20);
-            let mut got = asm.push(&stream[..cut]).unwrap();
-            got.extend(asm.push(&stream[cut..]).unwrap());
-            assert_eq!(got, encoded, "cut={cut}");
-            asm.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn assembler_rejects_oversize_and_garbage() {
-        let mut asm = EnvelopeAssembler::new(64);
-        let env = Envelope {
-            tenant: 1,
-            seq: 1,
-            msg: Msg::SaveReq {
-                tensor: 1,
-                deadline: 1,
-                frame: vec![0; 512],
-            },
-        };
-        assert!(matches!(
-            asm.push(&encode(&env)),
-            Err(ServeError::Oversize { .. })
-        ));
-        let mut asm = EnvelopeAssembler::new(64);
-        assert!(matches!(
-            asm.push(b"GARBAGE"),
-            Err(ServeError::BadMagic { .. })
-        ));
-    }
-
-    #[test]
-    fn assembler_finish_mid_envelope_is_truncated() {
-        let bytes = encode(&sample_envelopes()[0]);
-        let mut asm = EnvelopeAssembler::new(1 << 20);
-        assert!(asm.push(&bytes[..bytes.len() - 3]).unwrap().is_empty());
-        match asm.finish() {
-            Err(ServeError::Truncated { needed, .. }) => assert_eq!(needed, 3),
-            other => panic!("expected truncation, got {other:?}"),
-        }
     }
 }

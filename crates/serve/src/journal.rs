@@ -10,14 +10,19 @@
 //! order, and the same final [`ServeCounters`] — the property the
 //! pinned fixture in `tests/serve_replay.rs` locks at 1/2/8 threads.
 //!
-//! The on-disk format is a CRC-sealed binary container (`JJRN`), read
-//! back by a total [`Journal::from_bytes`] that types every
-//! malformation.
+//! The on-disk format is a CRC-sealed binary container (`JJRN`): an
+//! 8-byte header (magic, version, a zero u16), the tenant and entry
+//! tables, and the `jact_codec::seal` CRC trailer.  It has no length
+//! field — a file ends where it ends — so it shares the seal writers,
+//! `Reader` and trailer check rather than `seal::open`.  The total
+//! [`Journal::from_bytes`] types every malformation; the file comes from
+//! outside the program, so this module is on the analyzer's wire
+//! surface (JA10): no slice indexing, no runtime division.
 
 use crate::clock::Tick;
 use crate::error::ServeError;
 use crate::server::{ServeConfig, ServeCounters, Server};
-use jact_codec::wire::crc32;
+use jact_codec::seal::{self, put_u16, put_u32, put_u64, Reader};
 use std::collections::BTreeSet;
 
 /// Magic prefix of a serialized journal.
@@ -53,22 +58,6 @@ pub struct ReplayResult {
     pub counters: ServeCounters,
     /// The tick the replay quiesced at.
     pub final_tick: Tick,
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn le_bytes<const N: usize>(s: &[u8]) -> [u8; N] {
-    s.try_into().unwrap_or([0; N])
 }
 
 impl Journal {
@@ -118,7 +107,7 @@ impl Journal {
             put_u32(&mut out, e.bytes.len() as u32);
             out.extend_from_slice(&e.bytes);
         }
-        let crc = crc32(&out);
+        let crc = seal::crc32(&out);
         put_u32(&mut out, crc);
         out
     }
@@ -127,10 +116,7 @@ impl Journal {
     /// malformation — bad magic, wrong version, truncation, checksum
     /// mismatch, trailing bytes — is a typed [`ServeError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Journal, ServeError> {
-        let mut r = JReader {
-            buf: bytes,
-            pos: 0,
-        };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != JOURNAL_MAGIC {
             return Err(ServeError::BadMagic { offset: 0 });
         }
@@ -146,31 +132,13 @@ impl Journal {
                 what: "reserved field must be zero",
             });
         }
-        if bytes.len() < 4 {
-            return Err(ServeError::Truncated {
-                needed: 4 - bytes.len(),
-                available: bytes.len(),
-            });
-        }
-        let announced =
-            u32::from_le_bytes(le_bytes(bytes.get(bytes.len() - 4..).unwrap_or(&[])));
-        let actual = crc32(bytes.get(..bytes.len() - 4).unwrap_or(&[]));
-        if announced != actual {
-            return Err(ServeError::ChecksumMismatch {
-                expected: announced,
-                actual,
-            });
-        }
+        let body_end = seal::check_trailer(bytes)?;
         let n_tenants = r.u32()? as usize;
         let mut tenants = BTreeSet::new();
         for _ in 0..n_tenants {
             tenants.insert(r.u32()?);
         }
-        let n_entries = r.u64()?;
-        let n_entries = usize::try_from(n_entries).map_err(|_| ServeError::BadEnvelope {
-            offset: r.pos,
-            what: "entry count exceeds usize",
-        })?;
+        let n_entries = r.len_u64()?;
         let mut entries = Vec::new();
         for _ in 0..n_entries {
             let tick = r.u64()?;
@@ -183,46 +151,13 @@ impl Journal {
                 bytes: payload,
             });
         }
-        if r.pos != bytes.len() - 4 {
+        if r.pos() != body_end {
             return Err(ServeError::BadEnvelope {
-                offset: r.pos,
+                offset: r.pos(),
                 what: "trailing bytes after journal entries",
             });
         }
         Ok(Journal { tenants, entries })
-    }
-}
-
-/// Bounds-checked reader for the journal container.
-struct JReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).ok_or(ServeError::BadEnvelope {
-            offset: self.pos,
-            what: "length overflows",
-        })?;
-        let s = self.buf.get(self.pos..end).ok_or(ServeError::Truncated {
-            needed: end - self.buf.len().min(end),
-            available: self.buf.len().saturating_sub(self.pos),
-        })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(le_bytes(self.take(2)?)))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(le_bytes(self.take(4)?)))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(le_bytes(self.take(8)?)))
     }
 }
 

@@ -8,13 +8,12 @@
 //! footprint wins survive misbehaving peers, overloaded queues, and
 //! slow tenants:
 //!
-//! * [`frame`] — the serve envelope: a length-prefixed, CRC-sealed
-//!   container for requests/responses multiplexing tenants over one
-//!   byte stream, with a streaming [`frame::EnvelopeAssembler`] that is
-//!   total over hostile input;
-//! * [`transport`] — the transport abstraction and an in-process duplex
-//!   [`transport::pipe`] with seeded chunked reads (resumable mid-frame)
-//!   for hermetic tests;
+//! * [`frame`] — the serve envelope: a `jact_codec::seal` container
+//!   for requests/responses multiplexing tenants over one byte stream,
+//!   decoded by a function that is total over hostile input;
+//! * [`transport`] — an in-process duplex [`transport::pipe`] with
+//!   seeded chunked reads (resumable mid-frame reassembly through
+//!   `seal::Assembler`) for hermetic tests;
 //! * [`server`] — the daemon: per-tenant admission control and quotas,
 //!   bounded-queue backpressure shedding load via typed
 //!   [`error::ServeError::Overloaded`] rejections, deadline + bounded
@@ -53,10 +52,10 @@ pub mod transport;
 pub use cache::FrameCache;
 pub use clock::{Tick, VirtualClock};
 pub use error::{OverloadReason, ServeError};
-pub use frame::{Envelope, EnvelopeAssembler, Msg};
+pub use frame::{Envelope, Msg};
 pub use journal::{replay, Journal, JournalEntry, ReplayResult};
 pub use retry::RetryPolicy;
 pub use server::{ServeConfig, ServeCounters, Server, TenantQuota};
 pub use session::{OpOutcome, Session};
 pub use sim::{Cluster, ClusterConfig, ClusterReport};
-pub use transport::{pipe, PipeEnd, Transport};
+pub use transport::{pipe, PipeEnd};

@@ -75,8 +75,6 @@ pub struct ServeConfig {
     pub default_deadline_ticks: Tick,
     /// The lossy bus every (non-cached) load delivery traverses.
     pub bus_faults: FaultConfig,
-    /// Cap on one envelope's encoded size.
-    pub max_envelope_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -90,58 +88,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::default(),
             default_deadline_ticks: 256,
             bus_faults: FaultConfig::new(0.0, FaultModel::Mixed, 0),
-            max_envelope_bytes: 16 << 20,
-        }
-    }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl ServeConfig {
-    /// Builds a configuration from the `JACT_SERVE_*` environment knobs
-    /// (README "Serving"), falling back to the defaults:
-    ///
-    /// * `JACT_SERVE_MAX_INFLIGHT` — per-tenant in-flight quota;
-    /// * `JACT_SERVE_MAX_BYTES` — per-tenant stored-byte quota;
-    /// * `JACT_SERVE_QUEUE_CAP` — shared admitted-queue bound;
-    /// * `JACT_SERVE_CACHE_BYTES` — LRU cache budget;
-    /// * `JACT_SERVE_ATTEMPTS` — retry budget after a corrupt delivery;
-    /// * `JACT_SERVE_RETRY_BASE` / `JACT_SERVE_RETRY_MAX` — backoff
-    ///   base/cap in ticks;
-    /// * `JACT_SERVE_DEADLINE` — default deadline in ticks.
-    pub fn from_env() -> ServeConfig {
-        let d = ServeConfig::default();
-        let attempts = env_u64("JACT_SERVE_ATTEMPTS", 3) as u32;
-        ServeConfig {
-            quota: TenantQuota {
-                max_inflight: env_usize("JACT_SERVE_MAX_INFLIGHT", d.quota.max_inflight),
-                max_stored_bytes: env_usize("JACT_SERVE_MAX_BYTES", d.quota.max_stored_bytes),
-            },
-            queue_capacity: env_usize("JACT_SERVE_QUEUE_CAP", d.queue_capacity),
-            cache_bytes: env_usize("JACT_SERVE_CACHE_BYTES", d.cache_bytes),
-            recovery: if attempts == 0 {
-                RecoveryPolicy::Fail
-            } else {
-                RecoveryPolicy::Retry { attempts }
-            },
-            retry: RetryPolicy {
-                base_ticks: env_u64("JACT_SERVE_RETRY_BASE", d.retry.base_ticks),
-                max_ticks: env_u64("JACT_SERVE_RETRY_MAX", d.retry.max_ticks),
-            },
-            default_deadline_ticks: env_u64("JACT_SERVE_DEADLINE", d.default_deadline_ticks),
-            ..d
         }
     }
 }

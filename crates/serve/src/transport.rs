@@ -1,13 +1,13 @@
-//! Transport abstraction and the in-process duplex pipe.
+//! The in-process duplex pipe: a byte stream of serve envelopes.
 //!
-//! The daemon talks to tenants through a [`Transport`]: a byte pipe
-//! that carries serve envelopes with no delivery guarantees beyond
-//! ordered bytes.  For hermetic tests the only implementation is an
-//! in-process duplex [`pipe`] built on `Rc<RefCell<…>>` (no threads, no
-//! sockets, no locks — lint JA07 holds): two [`PipeEnd`]s share a pair
-//! of bounded byte queues, and each end reads in **seeded chunk sizes**
-//! so every read path exercises resumable mid-envelope reassembly, the
-//! way a real socket would deliver at arbitrary boundaries.
+//! The daemons are message-oriented (`Server::ingress` takes whole
+//! envelopes); a byte transport has to delimit them first.  The one
+//! transport today is the hermetic duplex [`pipe`] built on
+//! `Rc<RefCell<…>>` (no threads, no sockets, no locks — lint JA07
+//! holds): two [`PipeEnd`]s share a pair of bounded byte queues, and
+//! each end reads in **seeded chunk sizes** so every read path exercises
+//! resumable mid-envelope reassembly through `seal::Assembler`, the way
+//! a real socket would deliver at arbitrary boundaries.
 //!
 //! Sends against a full buffer fail with a typed
 //! [`ServeError::Backpressure`] — the pipe never buffers without bound —
@@ -15,25 +15,13 @@
 //! the remaining bytes drain.
 
 use crate::error::ServeError;
-use crate::frame::EnvelopeAssembler;
+use crate::frame::LAYOUT;
+use jact_codec::seal::Assembler;
 use jact_rng::rngs::StdRng;
 use jact_rng::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-
-/// A byte transport carrying serve envelopes.
-pub trait Transport {
-    /// Queues one encoded envelope for the peer.  Fails typed when the
-    /// transport's bounded buffer cannot take it or the peer is gone.
-    fn send_frame(&mut self, envelope: &[u8]) -> Result<(), ServeError>;
-
-    /// Drains available bytes and returns every complete envelope they
-    /// finish.  Non-blocking: an empty or mid-envelope buffer returns
-    /// an empty vec.  Fails typed on stream corruption or a closed,
-    /// fully-drained peer.
-    fn poll_frames(&mut self) -> Result<Vec<Vec<u8>>, ServeError>;
-}
 
 /// State shared by the two ends of a duplex pipe.
 #[derive(Debug)]
@@ -51,7 +39,7 @@ pub struct PipeEnd {
     inner: Rc<RefCell<PipeInner>>,
     /// `true` for the end created first (writes `a_to_b`).
     is_a: bool,
-    asm: EnvelopeAssembler,
+    asm: Assembler,
     chunk_rng: StdRng,
     capacity: usize,
 }
@@ -73,14 +61,14 @@ pub fn pipe(capacity: usize, max_envelope_bytes: usize, chunk_seed: u64) -> (Pip
     let a = PipeEnd {
         inner: Rc::clone(&inner),
         is_a: true,
-        asm: EnvelopeAssembler::new(max_envelope_bytes),
+        asm: Assembler::new(LAYOUT, max_envelope_bytes),
         chunk_rng: StdRng::seed_from_u64(chunk_seed ^ 0xA5A5_A5A5_A5A5_A5A5),
         capacity,
     };
     let b = PipeEnd {
         inner,
         is_a: false,
-        asm: EnvelopeAssembler::new(max_envelope_bytes),
+        asm: Assembler::new(LAYOUT, max_envelope_bytes),
         chunk_rng: StdRng::seed_from_u64(chunk_seed.wrapping_add(0x5EED)),
         capacity,
     };
@@ -127,14 +115,18 @@ impl PipeEnd {
             inner.a_to_b.len()
         }
     }
-}
 
-impl Transport for PipeEnd {
-    fn send_frame(&mut self, envelope: &[u8]) -> Result<(), ServeError> {
+    /// Queues one encoded envelope for the peer.  Fails typed when the
+    /// bounded buffer cannot take it or the peer is gone.
+    pub fn send_frame(&mut self, envelope: &[u8]) -> Result<(), ServeError> {
         self.send_raw(envelope)
     }
 
-    fn poll_frames(&mut self) -> Result<Vec<Vec<u8>>, ServeError> {
+    /// Drains available bytes and returns every complete envelope they
+    /// finish.  Non-blocking: an empty or mid-envelope buffer returns
+    /// an empty vec.  Fails typed on stream corruption or a closed,
+    /// fully-drained peer.
+    pub fn poll_frames(&mut self) -> Result<Vec<Vec<u8>>, ServeError> {
         let mut out = Vec::new();
         loop {
             // Pop a seeded-size chunk from the incoming queue; small odd

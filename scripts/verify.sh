@@ -22,9 +22,10 @@ echo "== cargo test -q --offline =="
 cargo test -q --offline
 
 echo "== jact-analyze (deny-new vs analyze-baseline.txt, archives BENCH_analyze.json) =="
-# The jact-analyze/v1 JSON report (per-code diagnostic counts) is archived
-# next to the BENCH_*.json stores; --deny-new gates on regressions against
-# the committed baseline so pre-existing, recorded debt never blocks CI.
+# The jact-analyze/v1 JSON report (per-code diagnostic counts, per-crate
+# loc table) is archived next to the BENCH_*.json stores; --deny-new gates
+# on regressions against the committed baseline so pre-existing, recorded
+# debt never blocks CI.  The CLI prints the workspace loc total first.
 cargo run -q -p jact-analyze --release --offline -- \
   --baseline analyze-baseline.txt --deny-new --report "$PWD/BENCH_analyze.json"
 
