@@ -16,8 +16,14 @@
 //!   and the per-sample boundary compress → wire → decompress loop.
 //!   **Gated at exactly 0 allocations/op** by `bench_check`.
 //! * `infer_model/*` — a full batched forward through the engine.
-//!   Informational: dense-math scratch (im2col, matmul) is amortized
-//!   across the batch and is not on the pooled machinery path.
+//!   Informational: the model's layers return fresh tensors, which are
+//!   not on the pooled machinery path.
+//! * `dnn/conv_fwd`, `dnn/conv_bwd` — one `Conv2d` pass (mini-resnet's
+//!   16→16 3×3 at 32×32, batch 8).  The lowering scratch lives in the
+//!   layer, so a steady-state pass allocates only what it returns or
+//!   hands on: forward `y`; backward `dW`, `dX` and the input the store
+//!   loads (plus `db` with a bias).  **Gated at exactly those counts** by
+//!   `bench_check` (`ALLOC_GATES` there).
 //! * `codec/*` — whole-codec compress → wire → decompress round trips
 //!   for the Table III backend matrix, with full recycling.  These rows
 //!   are informational (some payloads hold non-pooled structures), but
@@ -382,8 +388,30 @@ fn infer_rows(rows: &mut Vec<AllocRow>, warmup: usize, iters: usize) {
     });
 }
 
+/// One `Conv2d` forward and one backward pass at a mini-resnet geometry,
+/// against a `PassthroughStore` that already holds the input (the layer's
+/// save is the store's allocation, not the layer's).
+fn dnn_rows(rows: &mut Vec<AllocRow>) {
+    use jact_dnn::act::{ActKind, ActivationStore, Context, PassthroughStore};
+    use jact_dnn::layers::{Conv2d, Layer};
+    use jact_rng::SeedableRng;
+
+    let x = activation(8, 16, 32);
+    let gy = activation(8, 16, 32);
+    let mut weights = jact_tensor::init::seeded_rng(7);
+    let mut conv = Conv2d::new("conv", 16, 16, 3, 1, 1, false, 0, &mut weights);
+    let mut store = PassthroughStore::new();
+    store.save(0, ActKind::Conv, &x);
+    let mut rng = jact_rng::rngs::StdRng::seed_from_u64(0);
+    let mut ctx = Context::new(false, &mut rng, &mut store);
+    row(rows, "dnn/conv_fwd", 2, 8, || conv.forward(black_box(&x), &mut ctx));
+    row(rows, "dnn/conv_bwd", 2, 8, || {
+        conv.backward(black_box(&gy), &mut ctx).expect("the store holds the input")
+    });
+}
+
 /// A full batched forward through the engine — informational only: the
-/// dense-math scratch inside the model is not on the pooled path.
+/// layers' output tensors are not on the pooled path.
 fn infer_model_rows(rows: &mut Vec<AllocRow>) {
     use jact_infer::{BoundaryMode, Engine, InferConfig, PendingRequest};
     let cfg = InferConfig {
@@ -424,6 +452,7 @@ fn main() {
     serve_rows(&mut rows, warmup, iters);
     infer_rows(&mut rows, warmup, iters);
     infer_model_rows(&mut rows);
+    dnn_rows(&mut rows);
     codec_rows(&mut rows, warmup, iters);
 
     let pool = jact_pool::stats();

@@ -26,7 +26,10 @@
 //!    operation.  The buffer-pool layer exists to make these paths
 //!    allocation-free; any nonzero count is a recycling leak, not noise.
 //!    (`infer_model/*` rows are informational — dense model math is not
-//!    on the pooled machinery path.)
+//!    on the pooled machinery path.)  `dnn/conv_fwd` and `dnn/conv_bwd`
+//!    are gated at the tensors a `Conv2d` pass returns or hands on
+//!    ([`ALLOC_GATES`]): the lowering scratch is the layer's, so one more
+//!    is a temporary that came back.
 //! 5. **Inference throughput floor (hard fail):** when a third path
 //!    names a `BENCH_infer.json`, every matrix cell's `requests_per_s`
 //!    must clear a deliberately conservative floor — 1 request/s by
@@ -39,6 +42,19 @@
 //! records are only checked when named).
 
 use std::process::ExitCode;
+
+/// The gated `BENCH_alloc.json` rows: an id prefix and the allocations
+/// per steady-state op its rows must report.  The pooled paths allocate
+/// nothing.  A `Conv2d::forward` allocates its output tensor; a bias-free
+/// `Conv2d::backward` allocates `dW`, `dX` and the input tensor the
+/// activation store hands back.
+const ALLOC_GATES: [(&str, f64); 5] = [
+    ("fused/", 0.0),
+    ("serve/", 0.0),
+    ("infer/", 0.0),
+    ("dnn/conv_fwd", 1.0),
+    ("dnn/conv_bwd", 3.0),
+];
 
 /// Default single-thread floor for the fused tile stages, in GiB/s.
 const DEFAULT_FLOOR_GIBS: f64 = 2.0;
@@ -219,26 +235,24 @@ fn main() -> ExitCode {
             }
         };
         let alloc_rows = parse_rows(&alloc_json);
-        let gated: Vec<&Row> = alloc_rows
-            .iter()
-            .filter(|r| {
-                r.id.starts_with("fused/")
-                    || r.id.starts_with("serve/")
-                    || r.id.starts_with("infer/")
-            })
-            .collect();
-        if gated.is_empty() {
-            eprintln!("bench_check: {alloc_path} has no fused/, serve/, or infer/ rows");
-            failed = true;
+        let gate = |id: &str| ALLOC_GATES.iter().find(|(prefix, _)| id.starts_with(prefix));
+        for (prefix, _) in ALLOC_GATES {
+            if !alloc_rows.iter().any(|r| r.id.starts_with(prefix)) {
+                eprintln!("bench_check: {alloc_path} has no {prefix} rows");
+                failed = true;
+            }
         }
-        for r in gated {
+        let gated = alloc_rows
+            .iter()
+            .filter_map(|r| Some((r, gate(&r.id)?.1)));
+        for (r, want) in gated {
             match r.allocs_per_op {
-                Some(a) if a == 0.0 => {
-                    eprintln!("bench_check: {} 0 allocs/op — ok", r.id);
+                Some(a) if a == want => {
+                    eprintln!("bench_check: {} {a} allocs/op — ok", r.id);
                 }
                 Some(a) => {
                     eprintln!(
-                        "bench_check: {} {a} allocs/op — FAIL (steady state must not allocate)",
+                        "bench_check: {} {a} allocs/op — FAIL (steady state allocates {want})",
                         r.id
                     );
                     failed = true;

@@ -1,11 +1,20 @@
-//! 2-D convolution via im2col + GEMM.
+//! 2-D convolution via im2col + GEMM, one sample at a time.
+//!
+//! Each sample is lowered into one reusable scratch matrix and multiplied
+//! straight into (or out of) its NCHW plane, so no whole-batch im2col
+//! matrix, transpose or layout copy exists.  The results are bit for bit
+//! those of the whole-batch composition `im2col → matmul → col2im`
+//! (`jact_tensor::ops` states the summation-order contract that makes
+//! them so; `tests/conv_equivalence.rs` asserts it).
 
 use crate::act::{ActKind, ActivationId, Context};
 use crate::error::NetError;
 use crate::layers::Layer;
 use crate::param::Param;
 use jact_tensor::init;
-use jact_tensor::ops::{col2im, im2col, matmul, transpose, ConvGeom};
+use jact_tensor::ops::{
+    col2im_acc, gemm_acc, im2col_into, im2col_t_into, transpose_into, ConvGeom,
+};
 use jact_tensor::{Shape, Tensor};
 use jact_rng::rngs::StdRng;
 
@@ -29,6 +38,9 @@ pub struct Conv2d {
     saves_input: bool,
     /// Input shape captured during forward (for col2im).
     in_shape: Option<Shape>,
+    /// One sample's lowered matrix (`C·K·K × OH·OW`, either orientation)
+    /// followed by `Wᵀ`; grown on first use and kept across calls.
+    scratch: Vec<f32>,
     label: String,
 }
 
@@ -68,6 +80,7 @@ impl Conv2d {
             input_kind: ActKind::Conv,
             saves_input: true,
             in_shape: None,
+            scratch: Vec::new(),
             label,
         }
     }
@@ -96,38 +109,18 @@ impl Conv2d {
         self.input_key
     }
 
-    /// Converts the GEMM output `[out_c, N*OH*OW]` to NCHW.
-    fn mat_to_nchw(&self, m: &Tensor, n: usize, oh: usize, ow: usize) -> Tensor {
-        let mv = m.as_slice();
-        let plane = oh * ow;
-        let cols = n * plane;
-        let mut out = vec![0.0f32; self.out_c * cols];
-        for oc in 0..self.out_c {
-            for ni in 0..n {
-                let src = oc * cols + ni * plane;
-                let dst = (ni * self.out_c + oc) * plane;
-                out[dst..dst + plane].copy_from_slice(&mv[src..src + plane]);
-            }
-        }
-        Tensor::from_vec(Shape::nchw(n, self.out_c, oh, ow), out)
+    /// Rows of a sample's lowered matrix: `C·K·K`.
+    fn ckk(&self) -> usize {
+        self.in_c * self.geom.kernel * self.geom.kernel
     }
+}
 
-    /// Converts an NCHW gradient to the GEMM layout `[out_c, N*OH*OW]`.
-    fn nchw_to_mat(&self, t: &Tensor) -> Tensor {
-        let (n, c, oh, ow) = (t.shape().n(), t.shape().c(), t.shape().h(), t.shape().w());
-        let plane = oh * ow;
-        let cols = n * plane;
-        let tv = t.as_slice();
-        let mut out = vec![0.0f32; c * cols];
-        for oc in 0..c {
-            for ni in 0..n {
-                let src = (ni * c + oc) * plane;
-                let dst = oc * cols + ni * plane;
-                out[dst..dst + plane].copy_from_slice(&tv[src..src + plane]);
-            }
-        }
-        Tensor::from_vec(Shape::mat(c, cols), out)
+/// The first `len` floats of a layer's scratch, grown on first use.
+fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
     }
+    &mut scratch[..len]
 }
 
 impl Layer for Conv2d {
@@ -146,20 +139,24 @@ impl Layer for Conv2d {
         self.in_shape = Some(x.shape().clone());
         let (n, h, w) = (x.shape().n(), x.shape().h(), x.shape().w());
         let (oh, ow) = (self.geom.out_extent(h), self.geom.out_extent(w));
-        let cols = im2col(x, self.geom);
-        let mut y = matmul(&self.weight.value, &cols);
-        if let Some(b) = &self.bias {
-            let bw = b.value.as_slice();
-            let ncols = y.shape().dim(1);
-            let yv = y.as_mut_slice();
-            for oc in 0..self.out_c {
-                let bias = bw[oc];
-                for v in &mut yv[oc * ncols..(oc + 1) * ncols] {
-                    *v += bias;
+        let (ckk, plane, out_c) = (self.ckk(), oh * ow, self.out_c);
+        let chw = [self.in_c, h, w];
+        let mut y = vec![0.0f32; n * out_c * plane];
+        let cols = grown(&mut self.scratch, ckk * plane);
+        let wv = self.weight.value.as_slice();
+        let samples = x.as_slice().chunks_exact(self.in_c * h * w);
+        for (xn, yn) in samples.zip(y.chunks_exact_mut(out_c * plane)) {
+            im2col_into(xn, chw, self.geom, cols, plane);
+            gemm_acc(out_c, plane, ckk, wv, ckk, cols, plane, yn, plane);
+            if let Some(b) = &self.bias {
+                for (yc, &bias) in yn.chunks_exact_mut(plane).zip(b.value.as_slice()) {
+                    for v in yc {
+                        *v += bias;
+                    }
                 }
             }
         }
-        self.mat_to_nchw(&y, n, oh, ow)
+        Tensor::from_vec(Shape::nchw(n, out_c, oh, ow), y)
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut Context<'_>) -> Result<Tensor, NetError> {
@@ -169,27 +166,50 @@ impl Layer for Conv2d {
             .expect("backward called before forward");
         let x = ctx.store.load(self.input_key)?;
         assert_eq!(x.shape(), &in_shape, "{}: stored input shape mismatch", self.label);
+        let (n, h, w) = (in_shape.n(), in_shape.h(), in_shape.w());
+        let chw = [self.in_c, h, w];
+        let plane = self.geom.out_extent(h) * self.geom.out_extent(w);
+        let (ckk, out_c) = (self.ckk(), self.out_c);
+        assert_eq!(
+            grad.len(),
+            n * out_c * plane,
+            "{}: gradient shape mismatch",
+            self.label
+        );
+        let gy = grad.as_slice();
 
-        let gy = self.nchw_to_mat(grad);
-        let cols = im2col(&x, self.geom);
-
-        // dW = gy · colsᵀ
-        let dw = matmul(&gy, &transpose(&cols));
-        self.weight.accumulate(&dw);
+        let mut dw = vec![0.0f32; out_c * ckk];
+        let mut dx = vec![0.0f32; in_shape.len()];
+        let scratch = grown(&mut self.scratch, ckk * plane + ckk * out_c);
+        let (cols, wt) = scratch.split_at_mut(ckk * plane);
+        transpose_into(self.weight.value.as_slice(), out_c, ckk, wt);
+        let samples = x.as_slice().chunks_exact(self.in_c * h * w);
+        let grads = gy.chunks_exact(out_c * plane);
+        for ((xn, gyn), dxn) in samples.zip(grads).zip(dx.chunks_exact_mut(self.in_c * h * w)) {
+            // dW += gy_n · colsᵀ_n, continuing the chain the samples
+            // before this one left in `dw`.
+            im2col_t_into(xn, chw, self.geom, cols, ckk);
+            gemm_acc(out_c, ckk, plane, gyn, plane, cols, ckk, &mut dw, ckk);
+            // dX_n = col2im(Wᵀ · gy_n)
+            cols.fill(0.0);
+            gemm_acc(ckk, plane, out_c, wt, out_c, gyn, plane, cols, plane);
+            col2im_acc(cols, plane, chw, self.geom, dxn);
+        }
+        self.weight.accumulate(&Tensor::from_vec(Shape::mat(out_c, ckk), dw));
 
         if let Some(b) = &mut self.bias {
-            let ncols = gy.shape().dim(1);
-            let gv = gy.as_slice();
-            let mut db = vec![0.0f32; self.out_c];
-            for (oc, d) in db.iter_mut().enumerate() {
-                *d = gv[oc * ncols..(oc + 1) * ncols].iter().sum();
-            }
-            b.accumulate(&Tensor::from_vec(Shape::vec(self.out_c), db));
+            // One sequential sum per channel over (sample, position).
+            let db = (0..out_c)
+                .map(|oc| {
+                    gy.chunks_exact(out_c * plane)
+                        .flat_map(|gyn| &gyn[oc * plane..(oc + 1) * plane])
+                        .sum()
+                })
+                .collect();
+            b.accumulate(&Tensor::from_vec(Shape::vec(out_c), db));
         }
 
-        // dX = col2im(Wᵀ · gy)
-        let dcols = matmul(&transpose(&self.weight.value), &gy);
-        Ok(col2im(&dcols, &in_shape, self.geom))
+        Ok(Tensor::from_vec(in_shape, dx))
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

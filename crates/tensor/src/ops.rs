@@ -5,13 +5,186 @@
 //! matrix multiplications over im2col-unrolled patches — the same lowering
 //! cuDNN's `IMPLICIT_GEMM` algorithm performs on the GPU in the paper's
 //! experimental setup (Sec. VI-D).
+//!
+//! # Two levels
+//!
+//! The slice-level functions ([`gemm_acc`], [`im2col_into`],
+//! [`im2col_t_into`], [`col2im_acc`], [`transpose_into`]) work on
+//! caller-owned buffers with explicit row strides and allocate nothing;
+//! `Conv2d` drives them one sample at a time over one reusable scratch.
+//! The [`Tensor`]-level functions ([`matmul`], [`im2col`], [`col2im`],
+//! [`transpose`]) allocate their result and call the slice level; there
+//! is one implementation of each.
+//!
+//! # Determinism contract
+//!
+//! Every element a kernel here produces is the same IEEE-754 value, bit
+//! for bit, whatever the tile sizes, the target CPU, the batch size or
+//! the thread count:
+//!
+//! * [`gemm_acc`] computes each `C[i][j]` as
+//!   `((C[i][j] + a[i][0]·b[0][j]) + a[i][1]·b[1][j]) + …` in ascending
+//!   `k`, one rounded multiply and one rounded add per step.  Tiling only
+//!   chooses which elements share registers.  There is no `mul_add` (a
+//!   fused multiply-add rounds once, so the result would depend on whether
+//!   the target has FMA), no splitting of the `k` range into partial sums
+//!   and no reordering.  Because the accumulator is loaded from `C`,
+//!   calling it once per sample on the same `C` continues the very chain
+//!   a single whole-batch product would run.
+//! * A `k` step is skipped when all the left-hand values of its row group
+//!   are zero, where the unblocked kernel skipped every zero left-hand
+//!   value on its own.  The steps only the latter skips add `±0` to an
+//!   accumulator that is never `-0.0` (a chain that starts at `+0.0`
+//!   cannot reach `-0.0` under round-to-nearest), so the two agree in
+//!   every bit as long as the right-hand values are finite; see
+//!   [`matmul`] for the non-finite case.
+//! * [`col2im_acc`] adds the contributions to an input element in
+//!   ascending `(kh, kw)`, as the whole-batch fold does.
+//!
+//! `crates/tensor/tests/kernel_oracle.rs` holds the unblocked reference
+//! kernels and asserts equality with `to_bits` over every tile edge.
 
 use crate::{Shape, Tensor};
 
-/// Dense row-major matrix multiply: `C[m x n] = A[m x k] * B[k x n]`.
+/// Rows of `C` per register tile.
+const MR: usize = 4;
+
+/// Columns of `C` in the widest register tile: 4 × 32 accumulators are
+/// sixteen 256-bit registers, which leaves room for the broadcast
+/// left-hand values and a right-hand row.  (4 × 64 fills all thirty-two
+/// and spills.)
+const NR: usize = 32;
+
+/// Accumulating strided GEMM: `C[m x n] += A[m x k] * B[k x n]`, all three
+/// row-major with row strides `lda`, `ldb`, `ldc` (in elements).
 ///
-/// A simple blocked triple loop with the `k` loop innermost hoisted —
-/// adequate for the scaled-down networks in this reproduction.
+/// `C` is cut into groups of [`MR`] rows (single rows at the bottom) and
+/// each group into tiles 32, 16, 8, 4 or 1 columns wide, widest first.  A
+/// tile keeps its accumulators in fixed-size arrays, so the safe loops
+/// vectorize, and runs the whole `k` range (see the module's determinism
+/// contract).  Tiles go along a row group before the next group starts:
+/// `C` is then written front to back, and `B` is re-read per group from
+/// whichever cache holds it.
+///
+/// A `k` step is skipped when the left-hand values of all the tile's rows
+/// are zero, which keeps the weight-gradient product cheap when most of
+/// the incoming gradient is exactly zero (behind ReLU, dropout and max
+/// pooling).
+///
+/// # Panics
+///
+/// Panics if a stride is shorter than its row or a slice is too short for
+/// the shape it is given.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(
+        lda >= k && ldb >= n && ldc >= n,
+        "gemm_acc: stride shorter than a row"
+    );
+    assert!(a.len() >= (m - 1) * lda + k, "gemm_acc: lhs too short");
+    assert!(b.len() >= (k - 1) * ldb + n, "gemm_acc: rhs too short");
+    assert!(c.len() >= (m - 1) * ldc + n, "gemm_acc: output too short");
+    let mut i = 0;
+    while i + MR <= m {
+        gemm_rows::<MR>(n, k, &a[i * lda..], lda, b, ldb, &mut c[i * ldc..], ldc);
+        i += MR;
+    }
+    while i < m {
+        gemm_rows::<1>(n, k, &a[i * lda..], lda, b, ldb, &mut c[i * ldc..], ldc);
+        i += 1;
+    }
+}
+
+/// One group of `R` rows of [`gemm_acc`], tile by tile along the columns.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<const R: usize>(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut j = 0;
+    while j < n {
+        let (b, c) = (&b[j..], &mut c[j..]);
+        j += match n - j {
+            NR.. => gemm_tile::<R, NR>(k, a, lda, b, ldb, c, ldc),
+            16.. => gemm_tile::<R, 16>(k, a, lda, b, ldb, c, ldc),
+            8.. => gemm_tile::<R, 8>(k, a, lda, b, ldb, c, ldc),
+            4.. => gemm_tile::<R, 4>(k, a, lda, b, ldb, c, ldc),
+            _ => gemm_tile::<R, 1>(k, a, lda, b, ldb, c, ldc),
+        };
+    }
+}
+
+/// One `R x W` register tile of [`gemm_acc`]: loads the accumulators from
+/// `c`, adds the `k` products to each in order, stores them back.
+#[inline(always)]
+fn gemm_tile<const R: usize, const W: usize>(
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) -> usize {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[r * ldc..r * ldc + W]);
+    }
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+    for kk in 0..k {
+        let av: [f32; R] = std::array::from_fn(|r| arows[r][kk]);
+        // All of them ±0.0?  One branch on the OR of the bit patterns (sign
+        // shifted out): a branch per value mispredicts every other step
+        // when half the values are zero, as they are behind a ReLU.
+        if av.iter().fold(0u32, |bits, v| bits | v.to_bits()) << 1 == 0 {
+            continue;
+        }
+        let brow = &b[kk * ldb..kk * ldb + W];
+        // Columns outside, rows inside: the row loop unrolls away and
+        // leaves one loop along the contiguous axis to vectorize.  (Rows
+        // outside lets the compiler vectorize across the rows instead,
+        // with gathers and scatters — 50 times slower.)
+        for j in 0..W {
+            for r in 0..R {
+                acc[r][j] += av[r] * brow[j];
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..r * ldc + W].copy_from_slice(row);
+    }
+    W
+}
+
+/// Dense row-major matrix multiply: `C[m x n] = A[m x k] * B[k x n]`,
+/// [`gemm_acc`] onto a zeroed result.
+///
+/// Each element is the sum of its `k` products taken in ascending `k`
+/// from `+0.0`.  Steps whose left-hand values are zero in all four rows
+/// of a row group are skipped; a zero left-hand value whose group has a
+/// non-zero row is multiplied like any other.  That only shows when the
+/// right-hand value opposite it is infinite or NaN: the product is then
+/// NaN rather than skipped (the unblocked kernel this replaced skipped
+/// every zero left-hand value on its own).
 ///
 /// # Panics
 ///
@@ -23,23 +196,37 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
 
-    let av = a.as_slice();
-    let bv = b.as_slice();
     let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        let arow = &av[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[kk * n..(kk + 1) * n];
-            for (o, &bkn) in orow.iter_mut().zip(brow) {
-                *o += aik * bkn;
+    gemm_acc(m, n, k, a.as_slice(), k, b.as_slice(), n, &mut out, n);
+    Tensor::from_vec(Shape::mat(m, n), out)
+}
+
+/// Side of the square blocks [`transpose_into`] moves at a time: a block
+/// of source rows and the block of destination rows it fills both stay in
+/// L1.
+const TRANSPOSE_BLOCK: usize = 16;
+
+/// Writes the transpose of the row-major `rows x cols` matrix `src` into
+/// `dst` (`cols x rows`), block by block.
+///
+/// # Panics
+///
+/// Panics if either slice is not `rows * cols` long.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose source length mismatch");
+    assert_eq!(dst.len(), src.len(), "transpose destination length mismatch");
+    for i0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
+        let i1 = (i0 + TRANSPOSE_BLOCK).min(rows);
+        for j0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
+            let j1 = (j0 + TRANSPOSE_BLOCK).min(cols);
+            for j in j0..j1 {
+                let drow = &mut dst[j * rows + i0..j * rows + i1];
+                for (i, d) in drow.iter_mut().enumerate() {
+                    *d = src[(i0 + i) * cols + j];
+                }
             }
         }
     }
-    Tensor::from_vec(Shape::mat(m, n), out)
 }
 
 /// Transposes a rank-2 tensor.
@@ -50,13 +237,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 pub fn transpose(a: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2, "transpose requires rank 2");
     let (m, n) = (a.shape().dim(0), a.shape().dim(1));
-    let av = a.as_slice();
     let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = av[i * n + j];
-        }
-    }
+    transpose_into(a.as_slice(), m, n, &mut out);
     Tensor::from_vec(Shape::mat(n, m), out)
 }
 
@@ -100,6 +282,169 @@ impl ConvGeom {
         );
         (i + 2 * self.pad - self.kernel) / self.stride + 1
     }
+
+    /// The output positions `lo..hi` (of `out`) whose window tap `k` lands
+    /// inside an input extent `i`; the rest read padding.
+    fn tap_range(&self, k: usize, i: usize, out: usize) -> (usize, usize) {
+        let lo = self.pad.saturating_sub(k).div_ceil(self.stride);
+        let hi = match (i + self.pad).checked_sub(k + 1) {
+            Some(last) => (last / self.stride + 1).min(out),
+            None => 0,
+        };
+        (lo.min(hi), hi)
+    }
+}
+
+/// Unrolls one `[C, H, W]` sample `x` into its im2col matrix: row
+/// `(ci*K + kh)*K + kw` of `out` (row stride `ld`) receives the `OH*OW`
+/// values tap `(kh, kw)` of channel `ci` sees, zero where it reads
+/// padding.  Every element of those rows is written, so `out` may hold
+/// anything beforehand.
+///
+/// # Panics
+///
+/// Panics if `x` is not `C*H*W` long, `ld < OH*OW`, `out` is too short or
+/// the geometry does not fit.
+pub fn im2col_into(x: &[f32], chw: [usize; 3], g: ConvGeom, out: &mut [f32], ld: usize) {
+    let [c, h, w] = chw;
+    let (oh, ow) = (g.out_extent(h), g.out_extent(w));
+    assert_eq!(x.len(), c * h * w, "im2col input length mismatch");
+    assert!(ld >= oh * ow, "im2col row stride shorter than a row");
+    for ci in 0..c {
+        for kh in 0..g.kernel {
+            let (y_lo, y_hi) = g.tap_range(kh, h, oh);
+            for kw in 0..g.kernel {
+                let (x_lo, x_hi) = g.tap_range(kw, w, ow);
+                let row = (ci * g.kernel + kh) * g.kernel + kw;
+                let orow = &mut out[row * ld..row * ld + oh * ow];
+                if x_lo == x_hi {
+                    orow.fill(0.0);
+                    continue;
+                }
+                orow[..y_lo * ow].fill(0.0);
+                orow[y_hi * ow..].fill(0.0);
+                let first = x_lo * g.stride + kw - g.pad;
+                for oy in y_lo..y_hi {
+                    let dst = &mut orow[oy * ow..(oy + 1) * ow];
+                    let src = &x[(ci * h + oy * g.stride + kh - g.pad) * w..][..w];
+                    dst[..x_lo].fill(0.0);
+                    dst[x_hi..].fill(0.0);
+                    if g.stride == 1 {
+                        dst[x_lo..x_hi].copy_from_slice(&src[first..first + x_hi - x_lo]);
+                    } else {
+                        let taps = src[first..].iter().step_by(g.stride);
+                        for (d, &v) in dst[x_lo..x_hi].iter_mut().zip(taps) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The transpose of [`im2col_into`]'s matrix, produced directly: row
+/// `oy*OW + ox` of `out` (row stride `ld`) receives the `C*K*K` values of
+/// that output position's receptive field.  Every element of those rows
+/// is written.
+///
+/// # Panics
+///
+/// Panics if `x` is not `C*H*W` long, `ld < C*K*K`, `out` is too short or
+/// the geometry does not fit.
+pub fn im2col_t_into(x: &[f32], chw: [usize; 3], g: ConvGeom, out: &mut [f32], ld: usize) {
+    let [c, h, w] = chw;
+    let (oh, ow) = (g.out_extent(h), g.out_extent(w));
+    let ckk = c * g.kernel * g.kernel;
+    assert_eq!(x.len(), c * h * w, "im2col input length mismatch");
+    assert!(ld >= ckk, "im2col row stride shorter than a row");
+    let k = g.kernel;
+    // The output columns whose whole window row lies inside the input:
+    // tap 0 bounds them below, tap K-1 above.
+    let (in_lo, in_hi) = (g.tap_range(0, w, ow).0, g.tap_range(k - 1, w, ow).1);
+    let in_lo = in_lo.min(in_hi);
+    // One output row of positions at a time: its `OW x CKK` block of
+    // `out` stays in L1 while the window rows are copied into it, `K`
+    // adjacent taps per position.
+    for oy in 0..oh {
+        let block = &mut out[oy * ow * ld..];
+        for ci in 0..c {
+            for kh in 0..k {
+                let col = (ci * k + kh) * k;
+                let iy = (oy * g.stride + kh).wrapping_sub(g.pad);
+                if iy >= h {
+                    for ox in 0..ow {
+                        block[ox * ld + col..][..k].fill(0.0);
+                    }
+                    continue;
+                }
+                let xrow = &x[(ci * h + iy) * w..][..w];
+                for ox in (0..in_lo).chain(in_hi..ow) {
+                    for (kw, d) in block[ox * ld + col..][..k].iter_mut().enumerate() {
+                        let ix = (ox * g.stride + kw).wrapping_sub(g.pad);
+                        *d = if ix < w { xrow[ix] } else { 0.0 };
+                    }
+                }
+                for ox in in_lo..in_hi {
+                    let taps = &xrow[ox * g.stride - g.pad..][..k];
+                    let run = &mut block[ox * ld + col..][..k];
+                    // A 3-wide run (every conv here but the 1x1 shortcuts)
+                    // moves as one fixed-size array; the general loop
+                    // costs three times as much per element.
+                    match (
+                        <&mut [f32; 3]>::try_from(&mut *run),
+                        <&[f32; 3]>::try_from(taps),
+                    ) {
+                        (Ok(run), Ok(taps)) => *run = *taps,
+                        _ => run.iter_mut().zip(taps).for_each(|(d, &v)| *d = v),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adjoint of [`im2col_into`]: adds the `[C*K*K, OH*OW]` matrix `cols`
+/// (row stride `ld`) onto the `[C, H, W]` sample `out`, summing where
+/// receptive fields overlap, in ascending `(kh, kw)` per element.
+///
+/// # Panics
+///
+/// Panics if `out` is not `C*H*W` long, `ld < OH*OW`, `cols` is too short
+/// or the geometry does not fit.
+pub fn col2im_acc(cols: &[f32], ld: usize, chw: [usize; 3], g: ConvGeom, out: &mut [f32]) {
+    let [c, h, w] = chw;
+    let (oh, ow) = (g.out_extent(h), g.out_extent(w));
+    assert_eq!(out.len(), c * h * w, "col2im output length mismatch");
+    assert!(ld >= oh * ow, "col2im row stride shorter than a row");
+    for ci in 0..c {
+        for kh in 0..g.kernel {
+            let (y_lo, y_hi) = g.tap_range(kh, h, oh);
+            for kw in 0..g.kernel {
+                let (x_lo, x_hi) = g.tap_range(kw, w, ow);
+                if x_lo == x_hi {
+                    continue;
+                }
+                let row = (ci * g.kernel + kh) * g.kernel + kw;
+                let crow = &cols[row * ld..row * ld + oh * ow];
+                let first = x_lo * g.stride + kw - g.pad;
+                for oy in y_lo..y_hi {
+                    let src = &crow[oy * ow + x_lo..oy * ow + x_hi];
+                    let dst = &mut out[(ci * h + oy * g.stride + kh - g.pad) * w..][..w];
+                    if g.stride == 1 {
+                        for (d, &v) in dst[first..].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        let taps = dst[first..].iter_mut().step_by(g.stride);
+                        for (d, &v) in taps.zip(src) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Unrolls an NCHW input into the im2col matrix of shape
@@ -110,37 +455,12 @@ impl ConvGeom {
 /// Panics if `x` is not rank 4 or the geometry does not fit.
 pub fn im2col(x: &Tensor, g: ConvGeom) -> Tensor {
     let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let oh = g.out_extent(h);
-    let ow = g.out_extent(w);
+    let plane = g.out_extent(h) * g.out_extent(w);
     let rows = c * g.kernel * g.kernel;
-    let cols = n * oh * ow;
-    let xv = x.as_slice();
+    let cols = n * plane;
     let mut out = vec![0.0f32; rows * cols];
-
-    for ci in 0..c {
-        for kh in 0..g.kernel {
-            for kw in 0..g.kernel {
-                let row = (ci * g.kernel + kh) * g.kernel + kw;
-                let orow = &mut out[row * cols..(row + 1) * cols];
-                for ni in 0..n {
-                    for oy in 0..oh {
-                        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let ibase = ((ni * c + ci) * h + iy as usize) * w;
-                        let obase = (ni * oh + oy) * ow;
-                        for ox in 0..ow {
-                            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            orow[obase + ox] = xv[ibase + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
+    for (ni, xn) in x.as_slice().chunks_exact(c * h * w).enumerate() {
+        im2col_into(xn, [c, h, w], g, &mut out[ni * plane..], cols);
     }
     Tensor::from_vec(Shape::mat(rows, cols), out)
 }
@@ -155,42 +475,17 @@ pub fn im2col(x: &Tensor, g: ConvGeom) -> Tensor {
 /// Panics if shapes are inconsistent with the geometry.
 pub fn col2im(cols_t: &Tensor, x_shape: &Shape, g: ConvGeom) -> Tensor {
     let (n, c, h, w) = (x_shape.n(), x_shape.c(), x_shape.h(), x_shape.w());
-    let oh = g.out_extent(h);
-    let ow = g.out_extent(w);
+    let plane = g.out_extent(h) * g.out_extent(w);
     let rows = c * g.kernel * g.kernel;
-    let cols = n * oh * ow;
+    let cols = n * plane;
     assert_eq!(
         cols_t.shape().dims(),
         &[rows, cols],
         "col matrix shape mismatch"
     );
-    let cv = cols_t.as_slice();
     let mut out = vec![0.0f32; x_shape.len()];
-
-    for ci in 0..c {
-        for kh in 0..g.kernel {
-            for kw in 0..g.kernel {
-                let row = (ci * g.kernel + kh) * g.kernel + kw;
-                let crow = &cv[row * cols..(row + 1) * cols];
-                for ni in 0..n {
-                    for oy in 0..oh {
-                        let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let ibase = ((ni * c + ci) * h + iy as usize) * w;
-                        let obase = (ni * oh + oy) * ow;
-                        for ox in 0..ow {
-                            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out[ibase + ix as usize] += crow[obase + ox];
-                        }
-                    }
-                }
-            }
-        }
+    for (ni, on) in out.chunks_exact_mut(c * h * w).enumerate() {
+        col2im_acc(&cols_t.as_slice()[ni * plane..], cols, [c, h, w], g, on);
     }
     Tensor::from_vec(x_shape.clone(), out)
 }

@@ -21,6 +21,15 @@ cargo build --release --offline --benches
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+echo "== ledger smoke (the benchmark's own tests: all four workloads with their output checks) =="
+# The benchmark is a package outside the workspace that imports
+# ops::{matmul, transpose, im2col, col2im, ConvGeom}, Conv2d::{new, forward,
+# backward}, Context::new and more; a signature change must fail here, not
+# in the benchmark run.  Its lock file is under the benchmark's paths and
+# must come out of the build as it went in.
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+git diff --exit-code --stat -- ledger/Cargo.lock
+
 echo "== jact-analyze (deny-new vs analyze-baseline.txt, archives BENCH_analyze.json) =="
 # The jact-analyze/v1 JSON report (per-code diagnostic counts, per-crate
 # loc table) is archived next to the BENCH_*.json stores; --deny-new gates
