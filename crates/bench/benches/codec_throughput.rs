@@ -9,6 +9,9 @@
 //!   (SH must not be slower than DIV — `bench_check` gates on this);
 //! * `fused_stages`   — the streaming tile pipeline's stages pinned to one
 //!   worker thread, in activation (f32) bytes per second;
+//! * `wire_stages`    — checksum, serialize and deserialize of one
+//!   uncompressed 2.5 MiB frame, in frame bytes per second (`bench_check`
+//!   holds `crc32` to a 1 GiB/s floor);
 //! * `dct_ablation`   — matrix-form vs factored fast DCT;
 //! * `threads_*`      — whole-codec compress/decompress thread scaling.
 
@@ -18,11 +21,14 @@ use jact_codec::brc::BrcMask;
 use jact_codec::csr::Csr;
 use jact_codec::dct::{dct2d_i8, idct2d_to_i8};
 use jact_codec::dqt::Dqt;
-use jact_codec::pipeline::{Codec, JpegActCodec, JpegBaseCodec, SfprCodec, ZvcF32Codec};
+use jact_codec::pipeline::{
+    Codec, JpegActCodec, JpegBaseCodec, RawCodec, SfprCodec, ZvcF32Codec,
+};
 use jact_codec::quant::{QuantKind, QuantTables};
 use jact_codec::rle;
 use jact_codec::sfpr::{self, SfprParams};
 use jact_codec::tile::{self, FromBlocks};
+use jact_codec::wire;
 use jact_codec::zvc::Zvc;
 use jact_tensor::{Shape, Tensor};
 
@@ -155,6 +161,25 @@ fn main() {
         });
     });
     f.finish();
+
+    // The wire path around one uncompressed frame — what vDNN-style
+    // offload pays per save (serialize, which ends in one CRC pass) and
+    // per load (deserialize, which starts with one) on top of the copy.
+    let raw = RawCodec.compress(&activation(8, 80, 32));
+    let frame = wire::serialize(&raw);
+    let mut w = h.group("wire_stages");
+    w.throughput_bytes(frame.len() as u64);
+    w.bench_function("crc32", || wire::crc32(black_box(&frame)));
+    let mut out = Vec::with_capacity(frame.len());
+    w.bench_function("serialize_raw", || {
+        wire::serialize_into(black_box(&raw), &mut out)
+    });
+    w.bench_function("deserialize_raw", || {
+        wire::deserialize(black_box(&frame))
+            .expect("own frame round-trips")
+            .recycle()
+    });
+    w.finish();
 
     // Ablation: matrix-form 8-point DCT vs the factored fast DCT (the
     // hardware's LLM-style butterfly structure).

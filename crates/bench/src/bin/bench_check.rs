@@ -20,7 +20,11 @@
 //!    default (`JACT_BENCH_SFPR_FLOOR_GIBS` overrides) — so the
 //!    slow-path regression the 8-lane scan fixed cannot silently
 //!    return.
-//! 4. **Zero-allocation gate (hard fail):** when a second path names a
+//! 4. **Checksum floor (warn / strict):** `wire_stages/crc32` must hold
+//!    ≥ 1 GiB/s, a constant: slicing-by-16 reads above 2 and the
+//!    byte-at-a-time loop it replaced read 0.38, so a shortfall means
+//!    the sealed containers are back to one table lookup per byte.
+//! 5. **Zero-allocation gate (hard fail):** when a second path names a
 //!    `BENCH_alloc.json`, every `fused/*`, `serve/*`, and `infer/*` row
 //!    in it must report exactly 0 allocations per steady-state
 //!    operation.  The buffer-pool layer exists to make these paths
@@ -30,7 +34,7 @@
 //!    are gated at the tensors a `Conv2d` pass returns or hands on
 //!    ([`ALLOC_GATES`]): the lowering scratch is the layer's, so one more
 //!    is a temporary that came back.
-//! 5. **Inference throughput floor (hard fail):** when a third path
+//! 6. **Inference throughput floor (hard fail):** when a third path
 //!    names a `BENCH_infer.json`, every matrix cell's `requests_per_s`
 //!    must clear a deliberately conservative floor — 1 request/s by
 //!    default, overridable with `JACT_BENCH_INFER_FLOOR_RPS=<rps>` for
@@ -63,6 +67,9 @@ const DEFAULT_FLOOR_GIBS: f64 = 2.0;
 /// below the fused stages because it includes the channel max-abs scan
 /// and scale derivation on top of the quantize loop.
 const DEFAULT_SFPR_FLOOR_GIBS: f64 = 0.9;
+
+/// Floor for `wire_stages/crc32`, in GiB/s.
+const CRC_FLOOR_GIBS: f64 = 1.0;
 
 /// Resolves a GiB/s floor from `var` in MiB/s (must parse as a finite
 /// non-negative float), falling back to `default_gibs`.  A malformed
@@ -215,16 +222,22 @@ fn main() -> ExitCode {
         failed |= check_floor(r, fused_floor, strict);
     }
 
-    // Check 3: the SFPR compress row against its scan floor.
-    match find("codec_stages/sfpr_compress") {
-        Some(r) => failed |= check_floor(r, sfpr_floor, strict),
-        None => {
-            eprintln!("bench_check: {path} is missing codec_stages/sfpr_compress");
-            failed = true;
+    // Checks 3 and 4: the SFPR compress row against its scan floor and
+    // the container checksum against its constant one.
+    for (id, floor) in [
+        ("codec_stages/sfpr_compress", sfpr_floor),
+        ("wire_stages/crc32", CRC_FLOOR_GIBS * 1024.0),
+    ] {
+        match find(id) {
+            Some(r) => failed |= check_floor(r, floor, strict),
+            None => {
+                eprintln!("bench_check: {path} is missing {id}");
+                failed = true;
+            }
         }
     }
 
-    // Check 4: steady-state allocation counts, when an alloc record is
+    // Check 5: steady-state allocation counts, when an alloc record is
     // named.  Hard gate — the pool either recycles or it doesn't.
     if let Some(alloc_path) = alloc_path {
         let alloc_json = match std::fs::read_to_string(&alloc_path) {
@@ -265,7 +278,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Check 5: inference daemon throughput floor, when an infer record
+    // Check 6: inference daemon throughput floor, when an infer record
     // is named.  Hard gate at a floor conservative enough for any host.
     if let Some(infer_path) = infer_path {
         let infer_json = match std::fs::read_to_string(&infer_path) {

@@ -133,6 +133,12 @@ impl Csr {
         })
     }
 
+    /// Consumes the buffer, returning the row-pointer, column and value
+    /// planes (the buffer-pool recycling path).
+    pub fn into_planes(self) -> (Vec<u32>, Vec<u8>, Vec<i8>) {
+        (self.row_ptr, self.cols, self.vals)
+    }
+
     /// Row pointers (one start offset per segment, plus the final count).
     pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr

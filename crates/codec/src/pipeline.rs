@@ -230,9 +230,9 @@ impl CompressedActivation {
     /// The steady-state validation pattern — `wire::deserialize` a frame
     /// purely to check it, then discard the result — would otherwise drop
     /// the pooled buffers the wire reader drew (tensor data, ZVC planes,
-    /// SFPR values and scales, the codec-name bytes), draining the pool
-    /// by one miss per validation.  Non-pooled plane types (CSR index
-    /// vectors, BRC masks) are simply dropped.
+    /// SFPR values and scales, CSR planes, the codec-name bytes),
+    /// draining the pool by one miss per validation.  BRC masks are not
+    /// pooled and are simply dropped.
     pub fn recycle(self) {
         fn give_zvc(z: Zvc) {
             let (mask, values, _, _) = z.into_parts();
@@ -248,7 +248,13 @@ impl CompressedActivation {
         match self.payload {
             Payload::Raw(t) | Payload::Dpr { rounded: t } => jact_pool::give(t.into_vec()),
             Payload::ZvcF32 { z, .. } => give_zvc(z),
-            Payload::GistCsr { .. } | Payload::Brc(_) => {}
+            Payload::GistCsr { csr, .. } => {
+                let (row_ptr, cols, vals) = csr.into_planes();
+                jact_pool::give(row_ptr);
+                jact_pool::give(cols);
+                jact_pool::give(vals);
+            }
+            Payload::Brc(_) => {}
             Payload::Sfpr(e) => give_sfpr(e),
             Payload::SfprZvc { meta, z } => {
                 give_sfpr(meta);

@@ -33,7 +33,10 @@ use crate::csr::MAX_ROW;
 use crate::dqt::Dqt;
 use crate::error::CodecError;
 use crate::pipeline::{CodedBlocks, CompressedActivation, JpegPayload, Payload, QuantKind2};
-use crate::seal::{self, le_bytes, put_f32, put_u16, put_u32, put_u64, FrameError, Layout, Reader};
+use crate::seal::{
+    self, le_bytes, put_f32, put_f32s, put_u16, put_u32, put_u32s, put_u64, FrameError, Layout,
+    Reader,
+};
 use crate::sfpr::{SfprEncoded, SfprParams};
 use crate::zvc::Zvc;
 use jact_tensor::{Shape, Tensor};
@@ -125,9 +128,7 @@ fn put_shape(out: &mut Vec<u8>, shape: &Shape) {
 
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     put_shape(out, t.shape());
-    for &v in t.as_slice() {
-        put_f32(out, v);
-    }
+    put_f32s(out, t.as_slice());
 }
 
 fn put_zvc(out: &mut Vec<u8>, z: &Zvc) {
@@ -141,9 +142,7 @@ fn put_sfpr(out: &mut Vec<u8>, enc: &SfprEncoded) {
     put_f32(out, enc.params().s);
     put_u32(out, enc.params().bits);
     put_shape(out, enc.shape());
-    for &s in enc.scales() {
-        put_f32(out, s);
-    }
+    put_f32s(out, enc.scales());
     if enc.values().is_empty() {
         out.push(0);
     } else {
@@ -179,11 +178,31 @@ fn read_bytes(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, CodecError> {
     Ok(bytes)
 }
 
-/// Decodes the next `n` little-endian f32s into a pooled buffer.
-fn read_f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+/// Decodes the next `n` little-endian 32-bit words into a pooled buffer.
+fn read_words<T: jact_pool::Poolable>(
+    r: &mut Reader<'_>,
+    n: usize,
+    from_le_bytes: impl Fn([u8; 4]) -> T,
+) -> Result<Vec<T>, CodecError> {
     let src = r.take(n * 4)?;
-    let mut data: Vec<f32> = jact_pool::take(n);
-    data.extend(src.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c))));
+    let mut data: Vec<T> = jact_pool::take(n);
+    data.extend(src.chunks_exact(4).map(|c| from_le_bytes(le_bytes(c))));
+    Ok(data)
+}
+
+fn read_f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+    read_words(r, n, f32::from_le_bytes)
+}
+
+fn read_u32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<u32>, CodecError> {
+    read_words(r, n, u32::from_le_bytes)
+}
+
+/// Copies the next `n` bytes into a pooled buffer as `i8`s.
+fn read_i8s(r: &mut Reader<'_>, n: usize) -> Result<Vec<i8>, CodecError> {
+    let src = r.take(n)?;
+    let mut data: Vec<i8> = jact_pool::take(n);
+    data.extend(src.iter().map(|&b| b.cast_signed()));
     Ok(data)
 }
 
@@ -265,12 +284,7 @@ fn read_sfpr(r: &mut Reader<'_>, require_values: bool) -> Result<SfprEncoded, Co
         // "No value plane": hand back a pooled empty vec so the
         // eventual recycle parks it for the next decode.
         0 => jact_pool::take(0),
-        1 => {
-            let src = r.take(shape.len())?;
-            let mut v: Vec<i8> = jact_pool::take(src.len());
-            v.extend(src.iter().map(|&b| b.cast_signed()));
-            v
-        }
+        1 => read_i8s(r, shape.len())?,
         _ => return Err(bad(r, "SFPR value-plane flag must be 0 or 1")),
     };
     SfprEncoded::from_parts(values, scales, shape, SfprParams { s, bits })
@@ -350,9 +364,7 @@ pub fn serialize_into(c: &CompressedActivation, out: &mut Vec<u8>) {
         Payload::GistCsr { csr, shape } => {
             put_shape(out, shape);
             put_u16(out, cast::exact_u16(csr.row_len() as u32));
-            for &p in csr.row_ptr() {
-                put_u32(out, p);
-            }
+            put_u32s(out, csr.row_ptr());
             out.extend_from_slice(csr.cols());
             out.extend(csr.vals().iter().map(|&v| v.cast_unsigned()));
             TAG_GIST_CSR
@@ -437,19 +449,10 @@ pub fn deserialize(bytes: &[u8]) -> Result<CompressedActivation, CodecError> {
             if !(1..=MAX_ROW).contains(&row_len) {
                 return Err(bad(&r, "CSR row length out of 1..=256"));
             }
-            let rows = len.div_ceil(row_len);
-            let ptr_bytes = rows
-                .checked_add(1)
-                .and_then(|n| n.checked_mul(4))
-                .ok_or_else(|| bad(&r, "CSR row pointer count overflow"))?;
-            let row_ptr: Vec<u32> = r
-                .take(ptr_bytes)?
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(le_bytes(c)))
-                .collect();
+            let row_ptr = read_u32s(&mut r, len.div_ceil(row_len) + 1)?;
             let nnz = row_ptr.last().map(|&p| p as usize).unwrap_or(0);
             let cols = read_bytes(&mut r, nnz)?;
-            let vals: Vec<i8> = r.take(nnz)?.iter().map(|&b| b.cast_signed()).collect();
+            let vals = read_i8s(&mut r, nnz)?;
             let csr = Csr::from_parts(row_ptr, cols, vals, len, row_len)?;
             Payload::GistCsr { csr, shape }
         }
@@ -594,6 +597,110 @@ mod tests {
             let b = codec.decompress(&back).expect("wire copy decompresses");
             assert_eq!(a.as_slice(), b.as_slice(), "{}", codec.name());
         }
+    }
+
+    /// The frame writer with every plane appended one element at a time,
+    /// as `serialize_into` wrote them before `put_f32s` / `put_u32s`.
+    fn serialize_per_element(c: &CompressedActivation) -> Vec<u8> {
+        fn tensor(out: &mut Vec<u8>, t: &Tensor) {
+            put_shape(out, t.shape());
+            t.iter().for_each(|&v| put_f32(out, v));
+        }
+        fn sfpr(out: &mut Vec<u8>, enc: &SfprEncoded) {
+            put_f32(out, enc.params().s);
+            put_u32(out, enc.params().bits);
+            put_shape(out, enc.shape());
+            enc.scales().iter().for_each(|&s| put_f32(out, s));
+            out.push(u8::from(!enc.values().is_empty()));
+            out.extend(enc.values().iter().map(|&v| v.cast_unsigned()));
+        }
+        let mut out = Vec::new();
+        seal::begin(&mut out, &LAYOUT, |_| {});
+        put_str(&mut out, c.codec_name());
+        put_u64(&mut out, c.uncompressed_bytes() as u64);
+        put_u64(&mut out, c.compressed_bytes() as u64);
+        let tag = match c.payload() {
+            Payload::Raw(t) => {
+                tensor(&mut out, t);
+                TAG_RAW
+            }
+            Payload::ZvcF32 { z, shape } => {
+                put_shape(&mut out, shape);
+                put_zvc(&mut out, z);
+                TAG_ZVC_F32
+            }
+            Payload::Dpr { rounded } => {
+                tensor(&mut out, rounded);
+                TAG_DPR
+            }
+            Payload::GistCsr { csr, shape } => {
+                put_shape(&mut out, shape);
+                put_u16(&mut out, csr.row_len() as u16);
+                csr.row_ptr().iter().for_each(|&p| put_u32(&mut out, p));
+                out.extend_from_slice(csr.cols());
+                out.extend(csr.vals().iter().map(|&v| v.cast_unsigned()));
+                TAG_GIST_CSR
+            }
+            Payload::Sfpr(enc) => {
+                sfpr(&mut out, enc);
+                TAG_SFPR
+            }
+            Payload::SfprZvc { meta, z } => {
+                sfpr(&mut out, meta);
+                put_zvc(&mut out, z);
+                TAG_SFPR_ZVC
+            }
+            Payload::Jpeg(p) => {
+                sfpr(&mut out, &p.meta);
+                out.push(matches!(p.quant, QuantKind2::Shift) as u8);
+                put_dqt(&mut out, &p.dqt);
+                match &p.coded {
+                    CodedBlocks::Rle { bytes, count } => {
+                        out.push(0);
+                        put_u64(&mut out, *count as u64);
+                        put_u64(&mut out, bytes.len() as u64);
+                        out.extend_from_slice(bytes);
+                    }
+                    CodedBlocks::Zvc(z) => {
+                        out.push(1);
+                        put_zvc(&mut out, z);
+                    }
+                }
+                TAG_JPEG
+            }
+            Payload::Brc(m) => {
+                put_shape(&mut out, m.shape());
+                out.extend_from_slice(m.bits());
+                TAG_BRC
+            }
+        };
+        seal::seal(&mut out, &LAYOUT, tag);
+        out
+    }
+
+    #[test]
+    fn plane_writers_leave_every_tag_byte_identical() {
+        let x = smooth_tensor();
+        let mut tags = Vec::new();
+        for codec in all_codecs() {
+            let c = codec.compress(&x);
+            let wire = serialize(&c);
+            assert_eq!(wire, serialize_per_element(&c), "{}", codec.name());
+            tags.push(wire[6]);
+        }
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags, (TAG_RAW..=TAG_BRC).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn gist_frame_decodes_out_of_the_pool() {
+        let wire = serialize(&GistCsrCodec.compress(&smooth_tensor()));
+        // The first decode parks its planes; the second must find them.
+        deserialize(&wire).unwrap().recycle();
+        let misses = jact_pool::stats().misses;
+        deserialize(&wire).unwrap().recycle();
+        assert_eq!(jact_pool::stats().misses, misses);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::act::{ActKind, ActivationId, Context};
 use crate::error::NetError;
-use crate::layers::Layer;
+use crate::layers::{grown, Layer};
 use crate::param::Param;
 use jact_tensor::init;
 use jact_tensor::ops::{
@@ -113,14 +113,6 @@ impl Conv2d {
     fn ckk(&self) -> usize {
         self.in_c * self.geom.kernel * self.geom.kernel
     }
-}
-
-/// The first `len` floats of a layer's scratch, grown on first use.
-fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if scratch.len() < len {
-        scratch.resize(len, 0.0);
-    }
-    &mut scratch[..len]
 }
 
 impl Layer for Conv2d {

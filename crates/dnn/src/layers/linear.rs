@@ -2,10 +2,10 @@
 
 use crate::act::{ActKind, ActivationId, Context};
 use crate::error::NetError;
-use crate::layers::Layer;
+use crate::layers::{grown, Layer};
 use crate::param::Param;
 use jact_tensor::init;
-use jact_tensor::ops::{matmul, transpose};
+use jact_tensor::ops::{gemm_acc, matmul, transpose_into};
 use jact_tensor::{Shape, Tensor};
 use jact_rng::rngs::StdRng;
 
@@ -51,6 +51,9 @@ pub struct Linear {
     out_dim: usize,
     input_key: ActivationId,
     saves_input: bool,
+    /// `Wᵀ` during forward, `gyᵀ` during backward; grown on first use and
+    /// kept across calls.
+    scratch: Vec<f32>,
     label: String,
 }
 
@@ -79,6 +82,7 @@ impl Linear {
             out_dim,
             input_key,
             saves_input: true,
+            scratch: Vec::new(),
             label,
         }
     }
@@ -98,33 +102,44 @@ impl Layer for Linear {
             ctx.store.save(self.input_key, ActKind::Linear, x);
         }
         // y[N, out] = x[N, in] · W[out, in]ᵀ
-        let mut y = matmul(x, &transpose(&self.weight.value));
-        let b = self.bias.value.as_slice();
-        let n = y.shape().dim(0);
-        let yv = y.as_mut_slice();
-        for ni in 0..n {
-            for (oi, &bv) in b.iter().enumerate() {
-                yv[ni * self.out_dim + oi] += bv;
+        let (n, in_dim, out_dim) = (x.shape().dim(0), self.in_dim, self.out_dim);
+        let wt = grown(&mut self.scratch, in_dim * out_dim);
+        transpose_into(self.weight.value.as_slice(), out_dim, in_dim, wt);
+        let mut y = vec![0.0f32; n * out_dim];
+        gemm_acc(n, out_dim, in_dim, x.as_slice(), in_dim, wt, out_dim, &mut y, out_dim);
+        for row in y.chunks_exact_mut(out_dim) {
+            for (v, &bv) in row.iter_mut().zip(self.bias.value.as_slice()) {
+                *v += bv;
             }
         }
-        y
+        Tensor::from_vec(Shape::mat(n, out_dim), y)
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut Context<'_>) -> Result<Tensor, NetError> {
         let x = ctx.store.load(self.input_key)?;
         // dW = gyᵀ · x ; db = column sums of gy ; dx = gy · W.
-        let dw = matmul(&transpose(grad), &x);
-        self.weight.accumulate(&dw);
-        let n = grad.shape().dim(0);
+        let (n, in_dim, out_dim) = (x.shape().dim(0), self.in_dim, self.out_dim);
+        assert_eq!(
+            grad.shape(),
+            &Shape::mat(n, out_dim),
+            "{}: gradient shape mismatch",
+            self.label
+        );
         let gv = grad.as_slice();
-        let mut db = vec![0.0f32; self.out_dim];
+        let gt = grown(&mut self.scratch, out_dim * n);
+        transpose_into(gv, n, out_dim, gt);
+        let mut dw = vec![0.0f32; out_dim * in_dim];
+        gemm_acc(out_dim, in_dim, n, gt, n, x.as_slice(), in_dim, &mut dw, in_dim);
+        self.weight
+            .accumulate(&Tensor::from_vec(Shape::mat(out_dim, in_dim), dw));
+        let mut db = vec![0.0f32; out_dim];
         for ni in 0..n {
             for (oi, d) in db.iter_mut().enumerate() {
-                *d += gv[ni * self.out_dim + oi];
+                *d += gv[ni * out_dim + oi];
             }
         }
         self.bias
-            .accumulate(&Tensor::from_vec(Shape::vec(self.out_dim), db));
+            .accumulate(&Tensor::from_vec(Shape::vec(out_dim), db));
         Ok(matmul(grad, &self.weight.value))
     }
 

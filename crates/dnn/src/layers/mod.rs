@@ -57,6 +57,14 @@ pub trait Layer: Send {
     fn name(&self) -> String;
 }
 
+/// The first `len` floats of a layer's scratch, grown on first use.
+fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    &mut scratch[..len]
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use crate::act::{Context, PassthroughStore};

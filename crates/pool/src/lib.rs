@@ -173,8 +173,8 @@ fn with_class_capacity<T>(min_cap: usize) -> Vec<T> {
 
 /// Element types the pool recycles.  The trait exists only to route each
 /// type to its own thread-local shelf (`thread_local!` storage cannot be
-/// generic); `u8`, `i8`, and `f32` — the workspace's byte, coefficient,
-/// and activation elements — are the implementors.
+/// generic); `u8`, `i8`, `f32` and `u32` — the workspace's byte,
+/// coefficient, activation and index elements — are the implementors.
 pub trait Poolable: Copy + Default + 'static {
     /// Runs `f` against the current thread's shelves for this type;
     /// `None` when thread-local storage is unavailable (thread teardown)
@@ -203,6 +203,7 @@ macro_rules! poolable {
 poolable!(u8, SHELVES_U8);
 poolable!(i8, SHELVES_I8);
 poolable!(f32, SHELVES_F32);
+poolable!(u32, SHELVES_U32);
 
 /// Emits the wall-mode-only acquisition counters (see module docs).
 fn note_take(recycled: bool) {
@@ -288,13 +289,14 @@ pub fn give<T: Poolable>(v: Vec<T>) {
     }
 }
 
-/// Drops every buffer parked on the current thread's shelves (all three
+/// Drops every buffer parked on the current thread's shelves (all four
 /// element types) and zeroes the retained-byte counters.  Tests use this
 /// to start from a cold pool.
 pub fn clear_thread() {
     let _ = u8::with_shelves(|s| *s = Shelves::default());
     let _ = i8::with_shelves(|s| *s = Shelves::default());
     let _ = f32::with_shelves(|s| *s = Shelves::default());
+    let _ = u32::with_shelves(|s| *s = Shelves::default());
     stat_update(|st| st.retained_bytes = 0);
 }
 
