@@ -1060,12 +1060,21 @@ pub fn ja13_obs_schema(file: &SourceFile, ast: &FileAst, schema: &ObsSchema) -> 
 /// per training step (or per request) in steady state and must draw its
 /// buffers from `jact-pool` instead of the global allocator — the
 /// `alloc_bench` gate measures the same paths at 0 allocations/op.
-pub const STEADY_STATE_ROOTS: [&str; 10] = [
+///
+/// The tile drivers take their stage as a closure parameter, which the
+/// name-resolved call graph cannot see through, so the five per-tile
+/// kernels those closures call are roots in their own right.
+pub const STEADY_STATE_ROOTS: [&str; 15] = [
     "collect_tiles",
     "encode_rle",
     "encode_zvc",
     "untile_blocks",
     "decode_zvc",
+    "gather_block",
+    "dct2d_i8",
+    "quantize_block",
+    "dequantize_block",
+    "idct2d_to_i8",
     "serialize_into",
     "deserialize",
     "ingress",

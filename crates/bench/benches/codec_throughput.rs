@@ -27,7 +27,7 @@ use jact_codec::pipeline::{
 use jact_codec::quant::{QuantKind, QuantTables};
 use jact_codec::rle;
 use jact_codec::sfpr::{self, SfprParams};
-use jact_codec::tile::{self, FromBlocks};
+use jact_codec::tile;
 use jact_codec::wire;
 use jact_codec::zvc::Zvc;
 use jact_tensor::{Shape, Tensor};
@@ -157,7 +157,7 @@ fn main() {
                 .collect::<Vec<_>>()
         });
         f.bench_function("zvc_pack", || {
-            tile::encode_zvc(black_box(&FromBlocks(&q)), num_blocks)
+            tile::encode_zvc(black_box(&|bi| q[bi]), num_blocks)
         });
     });
     f.finish();

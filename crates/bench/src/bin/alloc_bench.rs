@@ -49,7 +49,7 @@ use jact_codec::pipeline::{
 };
 use jact_codec::quant::{QuantKind, QuantTables};
 use jact_codec::sfpr::{self, SfprParams};
-use jact_codec::tile::{self, FromBlocks};
+use jact_codec::tile;
 use jact_codec::wire;
 use jact_serve::frame::encode_into;
 use jact_serve::{Envelope, Msg, ServeConfig, Server};
@@ -203,7 +203,7 @@ fn fused_rows(rows: &mut Vec<AllocRow>, warmup: usize, iters: usize) {
         .map(|cf| tables_sh.quantize_block(cf))
         .collect();
     row(rows, "fused/zvc_pack", warmup, iters, || {
-        let z = tile::encode_zvc(black_box(&FromBlocks(&q)), num_blocks);
+        let z = tile::encode_zvc(black_box(&|bi| q[bi]), num_blocks);
         let (mask, values, words, _) = z.into_parts();
         jact_pool::give(mask);
         jact_pool::give(values);

@@ -9,21 +9,18 @@
 //!    median than `codec_stages/quant_div`, the shift path has regressed
 //!    into recomputing its tables (the bug this PR fixed) and the check
 //!    exits non-zero.
-//! 2. **Fused-stage floor (warn / strict):** every `fused_stages/*` row
-//!    should sustain ≥ 2 GiB/s of activation bytes on one worker thread
-//!    (override with `JACT_BENCH_FLOOR_GIBS=<GiB/s>` for slower CI
-//!    hosts).  Shortfalls print warnings by default and fail the run
-//!    when `JACT_BENCH_STRICT=1`, so noisy CI boxes don't flake the
-//!    build but a real regression is still visible.
-//! 3. **SFPR scan floor (warn / strict):** `codec_stages/sfpr_compress`
-//!    must hold the vectorized channel-scan rate — ≥ 0.9 GiB/s by
-//!    default (`JACT_BENCH_SFPR_FLOOR_GIBS` overrides) — so the
-//!    slow-path regression the 8-lane scan fixed cannot silently
-//!    return.
-//! 4. **Checksum floor (warn / strict):** `wire_stages/crc32` must hold
-//!    ≥ 1 GiB/s, a constant: slicing-by-16 reads above 2 and the
-//!    byte-at-a-time loop it replaced read 0.38, so a shortfall means
-//!    the sealed containers are back to one table lookup per byte.
+//! 2. **Fused-stage floor (warn):** every `fused_stages/*` row should
+//!    sustain ≥ 2 GiB/s of activation bytes on one worker thread.  A
+//!    shortfall on this and the next two floors prints a warning, so
+//!    noisy CI boxes don't flake the build but a real regression is
+//!    still visible; a missing row fails the run.
+//! 3. **SFPR scan floor (warn):** `codec_stages/sfpr_compress` must hold
+//!    the vectorized channel-scan rate — ≥ 0.9 GiB/s — so the slow-path
+//!    regression the 8-lane scan fixed cannot silently return.
+//! 4. **Checksum floor (warn):** `wire_stages/crc32` must hold ≥ 1 GiB/s:
+//!    slicing-by-16 reads above 2 and the byte-at-a-time loop it
+//!    replaced read 0.38, so a shortfall means the sealed containers are
+//!    back to one table lookup per byte.
 //! 5. **Zero-allocation gate (hard fail):** when a second path names a
 //!    `BENCH_alloc.json`, every `fused/*`, `serve/*`, and `infer/*` row
 //!    in it must report exactly 0 allocations per steady-state
@@ -36,10 +33,9 @@
 //!    is a temporary that came back.
 //! 6. **Inference throughput floor (hard fail):** when a third path
 //!    names a `BENCH_infer.json`, every matrix cell's `requests_per_s`
-//!    must clear a deliberately conservative floor — 1 request/s by
-//!    default, overridable with `JACT_BENCH_INFER_FLOOR_RPS=<rps>` for
-//!    hosts with a known budget.  The floor catches a daemon that stops
-//!    completing work (0 rps) without flaking on slow CI boxes.
+//!    must clear a deliberately conservative floor of 1 request/s.  The
+//!    floor catches a daemon that stops completing work (0 rps) without
+//!    flaking on slow CI boxes.
 //!
 //! Usage: `bench_check [BENCH_codec.json [BENCH_alloc.json [BENCH_infer.json]]]`
 //! (first path defaults to `./BENCH_codec.json`; the alloc and infer
@@ -60,35 +56,19 @@ const ALLOC_GATES: [(&str, f64); 5] = [
     ("dnn/conv_bwd", 3.0),
 ];
 
-/// Default single-thread floor for the fused tile stages, in GiB/s.
-const DEFAULT_FLOOR_GIBS: f64 = 2.0;
+/// Single-thread floor for the fused tile stages, in GiB/s.
+const FUSED_FLOOR_GIBS: f64 = 2.0;
 
-/// Default floor for the whole-codec SFPR compress row, in GiB/s —
-/// below the fused stages because it includes the channel max-abs scan
-/// and scale derivation on top of the quantize loop.
-const DEFAULT_SFPR_FLOOR_GIBS: f64 = 0.9;
+/// Floor for the whole-codec SFPR compress row, in GiB/s — below the
+/// fused stages because it includes the channel max-abs scan and scale
+/// derivation on top of the quantize loop.
+const SFPR_FLOOR_GIBS: f64 = 0.9;
 
 /// Floor for `wire_stages/crc32`, in GiB/s.
 const CRC_FLOOR_GIBS: f64 = 1.0;
 
-/// Resolves a GiB/s floor from `var` in MiB/s (must parse as a finite
-/// non-negative float), falling back to `default_gibs`.  A malformed
-/// value falls back with a warning rather than silently disabling the
-/// gate.
-fn floor_mib_s(var: &str, default_gibs: f64) -> f64 {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(g) if g.is_finite() && g >= 0.0 => g * 1024.0,
-            _ => {
-                eprintln!(
-                    "bench_check: ignoring malformed {var}={v:?}, using {default_gibs} GiB/s"
-                );
-                default_gibs * 1024.0
-            }
-        },
-        Err(_) => default_gibs * 1024.0,
-    }
-}
+/// Floor for every `BENCH_infer.json` matrix cell, in requests/s.
+const INFER_FLOOR_RPS: f64 = 1.0;
 
 /// One benchmark row pulled out of the JSON record.
 #[derive(Debug)]
@@ -144,9 +124,10 @@ fn parse_rows(json: &str) -> Vec<Row> {
     rows
 }
 
-/// Applies one throughput floor to `row`, returning `true` on a strict
-/// failure.
-fn check_floor(row: &Row, floor_mib_s: f64, strict: bool) -> bool {
+/// Applies one throughput floor to `row`: a shortfall warns, a row
+/// without a throughput field returns `true` (a failure).
+fn check_floor(row: &Row, floor_gibs: f64) -> bool {
+    let floor_mib_s = floor_gibs * 1024.0;
     match row.mib_per_s {
         Some(t) if t >= floor_mib_s => {
             eprintln!("bench_check: {} {:.0} MiB/s — ok", row.id, t);
@@ -154,13 +135,10 @@ fn check_floor(row: &Row, floor_mib_s: f64, strict: bool) -> bool {
         }
         Some(t) => {
             eprintln!(
-                "bench_check: {} {:.0} MiB/s — below the {:.0} MiB/s single-thread floor{}",
-                row.id,
-                t,
-                floor_mib_s,
-                if strict { " (strict: FAIL)" } else { " (warning)" }
+                "bench_check: {} {:.0} MiB/s — below the {:.0} MiB/s single-thread floor (warning)",
+                row.id, t, floor_mib_s
             );
-            strict
+            false
         }
         None => {
             eprintln!("bench_check: {} has no throughput field", row.id);
@@ -185,9 +163,6 @@ fn main() -> ExitCode {
     let find = |id: &str| rows.iter().find(|r| r.id == id);
 
     let mut failed = false;
-    let strict = std::env::var("JACT_BENCH_STRICT").is_ok_and(|v| v == "1");
-    let fused_floor = floor_mib_s("JACT_BENCH_FLOOR_GIBS", DEFAULT_FLOOR_GIBS);
-    let sfpr_floor = floor_mib_s("JACT_BENCH_SFPR_FLOOR_GIBS", DEFAULT_SFPR_FLOOR_GIBS);
 
     // Check 1: SH must not cost more than DIV.
     match (find("codec_stages/quant_div"), find("codec_stages/quant_sh")) {
@@ -219,17 +194,17 @@ fn main() -> ExitCode {
         failed = true;
     }
     for r in fused {
-        failed |= check_floor(r, fused_floor, strict);
+        failed |= check_floor(r, FUSED_FLOOR_GIBS);
     }
 
     // Checks 3 and 4: the SFPR compress row against its scan floor and
-    // the container checksum against its constant one.
+    // the container checksum against its own.
     for (id, floor) in [
-        ("codec_stages/sfpr_compress", sfpr_floor),
-        ("wire_stages/crc32", CRC_FLOOR_GIBS * 1024.0),
+        ("codec_stages/sfpr_compress", SFPR_FLOOR_GIBS),
+        ("wire_stages/crc32", CRC_FLOOR_GIBS),
     ] {
         match find(id) {
-            Some(r) => failed |= check_floor(r, floor, strict),
+            Some(r) => failed |= check_floor(r, floor),
             None => {
                 eprintln!("bench_check: {path} is missing {id}");
                 failed = true;
@@ -288,19 +263,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let floor_rps = match std::env::var("JACT_BENCH_INFER_FLOOR_RPS") {
-            Ok(v) => match v.trim().parse::<f64>() {
-                Ok(r) if r.is_finite() && r >= 0.0 => r,
-                _ => {
-                    eprintln!(
-                        "bench_check: ignoring malformed JACT_BENCH_INFER_FLOOR_RPS={v:?}, \
-                         using 1 request/s"
-                    );
-                    1.0
-                }
-            },
-            Err(_) => 1.0,
-        };
         // Matrix cells are the objects carrying a requests_per_s field;
         // split_inference rows share the "codec" key but have none.
         let mut cells = 0usize;
@@ -316,14 +278,14 @@ fn main() -> ExitCode {
                 cells += 1;
                 let codec = str_field(obj, "codec").unwrap_or_default();
                 let batch = num_field(obj, "max_batch").unwrap_or(0.0);
-                if rps >= floor_rps {
+                if rps >= INFER_FLOOR_RPS {
                     eprintln!(
                         "bench_check: infer {codec}/batch{batch:.0} {rps:.1} requests/s — ok"
                     );
                 } else {
                     eprintln!(
                         "bench_check: infer {codec}/batch{batch:.0} {rps:.1} requests/s — \
-                         below the {floor_rps} requests/s floor — FAIL"
+                         below the {INFER_FLOOR_RPS} requests/s floor — FAIL"
                     );
                     failed = true;
                 }

@@ -6,7 +6,7 @@
 //! request streams, and reports per cell:
 //!
 //! * **requests/s** — wall-clock daemon throughput, the headline the
-//!   `bench_check` floor (`JACT_BENCH_INFER_FLOOR_RPS`) gates;
+//!   `bench_check` 1 request/s floor gates;
 //! * **p50 / p95 per-request latency in virtual ticks** — the
 //!   queue+batch scheduling cost, deterministic across hosts;
 //! * boundary byte funnels (what each codec saves at the stage

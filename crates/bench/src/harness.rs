@@ -81,11 +81,15 @@ pub struct TrainResult {
     pub epoch_scores: Vec<f64>,
 }
 
-/// Trains a classification model under a compression scheme.
-///
-/// `scheme = None` trains with exact (uncompressed) storage — the Table I
-/// "Baseline" column.
-pub fn train_classifier(model: &str, scheme: Option<Scheme>, cfg: &TrainCfg) -> TrainResult {
+/// The run both classifier entry points share: seeded data and model,
+/// the per-model learning rate, SGD with its late decay, and the epoch
+/// loop over `store`.  `diverged` covers a non-finite loss only and
+/// `ratio` is left at 1.0 — the caller owns the store and fills it in.
+fn run_classifier(
+    model: &str,
+    cfg: &TrainCfg,
+    store: &mut dyn ActivationStore,
+) -> Result<TrainResult, NetError> {
     let data_cfg = SynthConfig {
         classes: cfg.classes,
         // Enough pixel noise that the task does not saturate at this
@@ -108,13 +112,6 @@ pub fn train_classifier(model: &str, scheme: Option<Scheme>, cfg: &TrainCfg) -> 
     })
     .with_schedule(&[cfg.epochs.saturating_sub(2)], 0.2);
 
-    let mut offload = scheme.map(OffloadStore::new);
-    let mut exact = jact_dnn::act::PassthroughStore::new();
-    let store: &mut dyn ActivationStore = match offload.as_mut() {
-        Some(s) => s,
-        None => &mut exact,
-    };
-
     let mut trainer = Trainer::new(net, opt, jact_rng::rngs::StdRng::seed_from_u64(cfg.seed), store);
     let mut best = 0.0f64;
     let mut diverged = false;
@@ -123,7 +120,7 @@ pub fn train_classifier(model: &str, scheme: Option<Scheme>, cfg: &TrainCfg) -> 
         if let Some(s) = trainer.store.as_any_mut().downcast_mut::<OffloadStore>() {
             s.set_epoch(e);
         }
-        let stats = trainer.train_epoch_classify(e, &train).expect("activations present");
+        let stats = trainer.train_epoch_classify(e, &train)?;
         let v = trainer.evaluate_classify(&val);
         epoch_scores.push(v);
         best = best.max(v);
@@ -132,22 +129,36 @@ pub fn train_classifier(model: &str, scheme: Option<Scheme>, cfg: &TrainCfg) -> 
             break;
         }
     }
+    Ok(TrainResult {
+        best_score: best,
+        ratio: 1.0,
+        diverged,
+        epoch_scores,
+    })
+}
+
+/// Trains a classification model under a compression scheme.
+///
+/// `scheme = None` trains with exact (uncompressed) storage — the Table I
+/// "Baseline" column.
+pub fn train_classifier(model: &str, scheme: Option<Scheme>, cfg: &TrainCfg) -> TrainResult {
+    let mut offload = scheme.map(OffloadStore::new);
+    let mut exact = jact_dnn::act::PassthroughStore::new();
+    let store: &mut dyn ActivationStore = match offload.as_mut() {
+        Some(s) => s,
+        None => &mut exact,
+    };
+    let mut r = run_classifier(model, cfg, store).expect("activations present");
     // Chance-level collapse after training counts as divergence (Table I
     // asterisks).
     let chance = 1.0 / cfg.classes as f64;
-    if *epoch_scores.last().unwrap_or(&0.0) < chance * 1.05 && best > chance * 1.5 {
-        diverged = true;
+    if *r.epoch_scores.last().unwrap_or(&0.0) < chance * 1.05 && r.best_score > chance * 1.5 {
+        r.diverged = true;
     }
-    let ratio = offload
-        .as_ref()
-        .map(|s| s.stats().overall_ratio())
-        .unwrap_or(1.0);
-    TrainResult {
-        best_score: best,
-        ratio,
-        diverged,
-        epoch_scores,
+    if let Some(s) = &offload {
+        r.ratio = s.stats().overall_ratio();
     }
+    r
 }
 
 /// Trains a classifier with the offload store in `through_wire` mode:
@@ -168,58 +179,10 @@ pub fn train_classifier_faulty(
     policy: RecoveryPolicy,
     cfg: &TrainCfg,
 ) -> Result<(TrainResult, FaultReport), NetError> {
-    let data_cfg = SynthConfig {
-        classes: cfg.classes,
-        noise: 0.25,
-        ..Default::default()
-    };
-    let train = classification_batches(&data_cfg, cfg.train_batches, cfg.batch_size, cfg.seed);
-    let val = classification_batches(&data_cfg, cfg.val_batches, cfg.batch_size, cfg.seed + 999);
-
-    let mut mrng = seeded_rng(cfg.seed);
-    let net = models::build_by_name(model, 3, cfg.classes, &mut mrng).expect("registered model");
-    let lr = if model == "mini-vgg" { 0.01 } else { 0.03 };
-    let opt = Sgd::new(SgdConfig {
-        lr,
-        momentum: 0.9,
-        weight_decay: 5e-4,
-    })
-    .with_schedule(&[cfg.epochs.saturating_sub(2)], 0.2);
-
     let mut store = OffloadStore::through_wire(scheme, fault, policy);
-    let mut trainer = Trainer::new(
-        net,
-        opt,
-        jact_rng::rngs::StdRng::seed_from_u64(cfg.seed),
-        &mut store,
-    );
-    let mut best = 0.0f64;
-    let mut diverged = false;
-    let mut epoch_scores = Vec::new();
-    for e in 0..cfg.epochs {
-        if let Some(s) = trainer.store.as_any_mut().downcast_mut::<OffloadStore>() {
-            s.set_epoch(e);
-        }
-        let stats = trainer.train_epoch_classify(e, &train)?;
-        let v = trainer.evaluate_classify(&val);
-        epoch_scores.push(v);
-        best = best.max(v);
-        if !stats.loss.is_finite() {
-            diverged = true;
-            break;
-        }
-    }
-    let report = store.fault_report();
-    let ratio = store.stats().overall_ratio();
-    Ok((
-        TrainResult {
-            best_score: best,
-            ratio,
-            diverged,
-            epoch_scores,
-        },
-        report,
-    ))
+    let mut r = run_classifier(model, cfg, &mut store)?;
+    r.ratio = store.stats().overall_ratio();
+    Ok((r, store.fault_report()))
 }
 
 /// Trains the VDSR super-resolution model under a scheme; score is PSNR.

@@ -39,15 +39,6 @@ impl RecordingStore {
     pub fn take_log(&mut self) -> Vec<(ActKind, Tensor)> {
         std::mem::take(&mut self.log)
     }
-
-    /// Dense spatial activations (conv/sum/norm) from the log.
-    pub fn dense_activations(&self) -> Vec<Tensor> {
-        self.log
-            .iter()
-            .filter(|(k, t)| k.is_dense_spatial() && t.shape().rank() == 4)
-            .map(|(_, t)| t.clone())
-            .collect()
-    }
 }
 
 impl ActivationStore for RecordingStore {
@@ -87,7 +78,6 @@ mod tests {
         s.save(1, ActKind::Dropout, &Tensor::zeros(Shape::vec(8)));
         assert_eq!(s.log().len(), 2);
         assert_eq!(s.log()[0].0, ActKind::Conv);
-        assert_eq!(s.dense_activations().len(), 1);
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl<'a> BitReader<'a> {
     pub fn read_bit(&mut self) -> Option<bool> {
         self.read_bits(1).map(|b| b != 0)
     }
-
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]

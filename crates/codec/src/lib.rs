@@ -20,7 +20,7 @@
 //! | [`csr`] | II-B2 | GIST-style sparse storage (value + column index per non-zero) |
 //! | [`dpr`] | II-B2 | Dynamic precision reduction: f32 → f16 / f8 casts |
 //! | [`pipeline`] | III | Composed codecs: SFPR-only, JPEG-BASE, JPEG-ACT, and the DIV/SH × RLE/ZVC matrix |
-//! | [`tile`] | III, Fig. 11 | Streaming tile pipeline: stage trait fusing gather → DCT → quantize → code per 8×8 block |
+//! | [`tile`] | III, Fig. 11 | Streaming tile pipeline: five drivers pulling gather → DCT → quantize → code closures per 8×8 block |
 //! | [`stream`] | III-G | Collector / splitter: round-robin multi-CDU stream aggregation into 128 B DMA packets |
 //! | [`seal`] | III-G | The one sealed-container layout (magic + version + tag + length + CRC32): writers, bounds-checked reader, `open`, streaming assembler |
 //! | [`wire`] | III-G | Framed wire format: the `JACT` sealed container of every payload, panic-free decode of arbitrary bytes |

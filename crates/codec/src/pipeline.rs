@@ -18,13 +18,14 @@
 use crate::block::BlockLayout;
 use crate::brc::BrcMask;
 use crate::csr::Csr;
+use crate::dct::{dct2d_i8, idct2d_to_i8};
 use crate::dpr::{self, DprWidth};
 use crate::dqt::Dqt;
 use crate::error::CodecError;
 use crate::quant::{QuantKind, QuantTables};
 use crate::rle;
 use crate::sfpr::{self, SfprEncoded, SfprParams};
-use crate::tile::{self, Dequantize, ForwardDct, Gather, InverseDct, Quantize, Then};
+use crate::tile;
 use crate::zvc::Zvc;
 use jact_obs as obs;
 use jact_tensor::{Shape, Tensor};
@@ -140,34 +141,8 @@ pub(crate) struct JpegPayload {
     /// the values travel through the coded blocks instead.
     pub(crate) meta: SfprEncoded,
     pub(crate) coded: CodedBlocks,
-    pub(crate) quant: QuantKind2,
+    pub(crate) quant: QuantKind,
     pub(crate) dqt: Dqt,
-}
-
-// Local serializable mirrors of the codec enums (kept crate-private so the
-// public enums stay dependency-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QuantKind2 {
-    Div,
-    Shift,
-}
-
-impl From<QuantKind> for QuantKind2 {
-    fn from(k: QuantKind) -> Self {
-        match k {
-            QuantKind::Div => QuantKind2::Div,
-            QuantKind::Shift => QuantKind2::Shift,
-        }
-    }
-}
-
-impl From<QuantKind2> for QuantKind {
-    fn from(k: QuantKind2) -> Self {
-        match k {
-            QuantKind2::Div => QuantKind::Div,
-            QuantKind2::Shift => QuantKind::Shift,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -642,8 +617,8 @@ impl JpegCodec {
         layout: &'a BlockLayout,
         values: &'a [i8],
         tables: &'a QuantTables,
-    ) -> impl tile::TileStage<In = usize, Out = [i8; 64]> + 'a {
-        Then(Gather { layout, values }, Then(ForwardDct, Quantize(tables)))
+    ) -> impl Fn(usize) -> [i8; 64] + Sync + 'a {
+        move |bi| tables.quantize_block(&dct2d_i8(&layout.gather_block(values, bi)))
     }
 }
 
@@ -689,7 +664,7 @@ impl Codec for JpegCodec {
                     payload: Payload::Jpeg(JpegPayload {
                         meta,
                         coded,
-                        quant: self.quant.into(),
+                        quant: self.quant,
                         dqt: self.dqt.clone(),
                     }),
                     uncompressed_bytes: x.len() * 4,
@@ -709,11 +684,11 @@ impl Codec for JpegCodec {
                     _ => return Err(wrong_payload("jpeg", c)),
                 };
                 let layout = BlockLayout::new(p.meta.shape());
-                let tables = QuantTables::new(p.quant.into(), &p.dqt);
+                let tables = QuantTables::new(p.quant, &p.dqt);
                 // Mirrored streaming pass: each coded tile flows decode →
                 // dequantize → inverse DCT → scatter straight into the
                 // unpadded value plane.
-                let dec = Then(Dequantize(&tables), InverseDct);
+                let dec = |q: [i8; 64]| idct2d_to_i8(&tables.dequantize_block(&q));
                 let values = obs::span("stage.unfused", || match &p.coded {
                     CodedBlocks::Rle { bytes, count } => {
                         if *count != layout.num_blocks() {

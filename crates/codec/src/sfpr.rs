@@ -121,12 +121,6 @@ impl SfprEncoded {
         &self.values
     }
 
-    /// Mutable access for downstream pipeline stages (DCT operates on the
-    /// integer plane in place of a hardware buffer).
-    pub fn values_mut(&mut self) -> &mut [i8] {
-        &mut self.values
-    }
-
     /// Takes the value plane out, leaving the scale/shape metadata behind.
     /// The JPEG pipelines use this to avoid storing the plane twice: after
     /// coding, values are reconstructed from the coded blocks.

@@ -4,13 +4,14 @@
 //! CDU datapath (Sec. III, Fig. 11), where a block streams through the
 //! alignment buffer, transform, quantizer, and coder in one pass.
 //!
-//! A [`TileStage`] maps one tile to the next representation; [`Then`]
-//! composes stages so a whole encode front end is a single object the
-//! coding drivers ([`encode_rle`], [`encode_zvc`]) pull tiles from.
-//! The decode direction runs the mirrored stages ([`Dequantize`],
-//! [`InverseDct`]) inside the scatter drivers ([`decode_zvc`],
-//! [`untile_blocks`]), which write reconstructed rows straight into the
-//! unpadded value plane.
+//! A stage is a plain closure.  The encode front end maps a block index
+//! to its quantized tile (`|bi| quantize(dct(gather(bi)))`) and the
+//! coding drivers ([`collect_tiles`], [`encode_rle`], [`encode_zvc`]) pull
+//! tiles from it; the decode direction maps a quantized tile back to its
+//! spatial tile (`|q| idct(dequantize(q))`) inside the scatter drivers
+//! ([`decode_zvc`], [`untile_blocks`]), which write reconstructed rows
+//! straight into the unpadded value plane.  Stages are `Sync` because
+//! drivers call them from worker threads.
 //!
 //! ## Determinism and byte compatibility
 //!
@@ -25,9 +26,7 @@
 
 use crate::bits::BitWriter;
 use crate::block::{BlockLayout, PadStrategy};
-use crate::dct::{dct2d_i8, idct2d_to_i8};
 use crate::error::CodecError;
-use crate::quant::QuantTables;
 use crate::rle;
 use crate::zvc::Zvc;
 use jact_par::Pool;
@@ -37,120 +36,17 @@ use jact_par::Pool;
 /// land exactly where the staged pipeline's did.  Input-derived only.
 pub const TILES_PER_CHUNK: usize = 256;
 
-/// One step of the streaming pipeline: maps a tile-sized input to a
-/// tile-sized output.  `Sync` because drivers apply stages from worker
-/// threads.
-pub trait TileStage: Sync {
-    /// Input tile representation.
-    type In;
-    /// Output tile representation.
-    type Out;
-    /// Transforms one tile.
-    fn apply(&self, tile: Self::In) -> Self::Out;
-}
-
-/// Sequential composition of two stages.
-pub struct Then<A, B>(pub A, pub B);
-
-impl<A: TileStage, B: TileStage<In = A::Out>> TileStage for Then<A, B> {
-    type In = A::In;
-    type Out = B::Out;
-    #[inline]
-    fn apply(&self, tile: Self::In) -> Self::Out {
-        self.1.apply(self.0.apply(tile))
-    }
-}
-
-/// Tile source: gathers block `bi` directly from the unpadded value
-/// plane (zero-filling padding lanes inline).
-pub struct Gather<'a> {
-    /// The block tiling of the tensor.
-    pub layout: &'a BlockLayout,
-    /// The SFPR value plane (unpadded).
-    pub values: &'a [i8],
-}
-
-impl TileStage for Gather<'_> {
-    type In = usize;
-    type Out = [i8; 64];
-    #[inline]
-    fn apply(&self, bi: usize) -> [i8; 64] {
-        self.layout.gather_block(self.values, bi)
-    }
-}
-
-/// Tile source over already-materialized blocks — lets tests and benches
-/// drive the coding back end from a staged block list.
-pub struct FromBlocks<'a>(pub &'a [[i8; 64]]);
-
-impl TileStage for FromBlocks<'_> {
-    type In = usize;
-    type Out = [i8; 64];
-    #[inline]
-    fn apply(&self, bi: usize) -> [i8; 64] {
-        self.0[bi]
-    }
-}
-
-/// Forward fixed-point 2-D DCT stage.
-pub struct ForwardDct;
-
-impl TileStage for ForwardDct {
-    type In = [i8; 64];
-    type Out = [i16; 64];
-    #[inline]
-    fn apply(&self, tile: [i8; 64]) -> [i16; 64] {
-        dct2d_i8(&tile)
-    }
-}
-
-/// Quantize stage over per-tensor precomputed tables.
-pub struct Quantize<'a>(pub &'a QuantTables);
-
-impl TileStage for Quantize<'_> {
-    type In = [i16; 64];
-    type Out = [i8; 64];
-    #[inline]
-    fn apply(&self, tile: [i16; 64]) -> [i8; 64] {
-        self.0.quantize_block(&tile)
-    }
-}
-
-/// Dequantize stage (decode mirror of [`Quantize`]).
-pub struct Dequantize<'a>(pub &'a QuantTables);
-
-impl TileStage for Dequantize<'_> {
-    type In = [i8; 64];
-    type Out = [i16; 64];
-    #[inline]
-    fn apply(&self, tile: [i8; 64]) -> [i16; 64] {
-        self.0.dequantize_block(&tile)
-    }
-}
-
-/// Inverse fixed-point 2-D DCT stage (decode mirror of [`ForwardDct`]).
-pub struct InverseDct;
-
-impl TileStage for InverseDct {
-    type In = [i16; 64];
-    type Out = [i8; 64];
-    #[inline]
-    fn apply(&self, tile: [i16; 64]) -> [i8; 64] {
-        idct2d_to_i8(&tile)
-    }
-}
-
 /// Materializes every tile of an index-driven stage — the escape hatch
 /// for consumers that need the full quantized block list (entropy and
 /// rate-distortion metrics), not the streaming coders.
-pub fn collect_tiles<S>(stage: &S, num_blocks: usize) -> Vec<[i8; 64]>
-where
-    S: TileStage<In = usize, Out = [i8; 64]>,
-{
+pub fn collect_tiles(
+    stage: &(impl Fn(usize) -> [i8; 64] + Sync),
+    num_blocks: usize,
+) -> Vec<[i8; 64]> {
     let mut out = vec![[0i8; 64]; num_blocks];
     Pool::current().par_chunks_mut(&mut out, TILES_PER_CHUNK, |_, off, chunk| {
         for (k, o) in chunk.iter_mut().enumerate() {
-            *o = stage.apply(off + k);
+            *o = stage(off + k);
         }
     });
     out
@@ -158,17 +54,14 @@ where
 
 /// Streams `num_blocks` tiles out of `stage` into an RLE + Huffman byte
 /// stream — byte-identical to `rle::encode_blocks` over the same tiles.
-pub fn encode_rle<S>(stage: &S, num_blocks: usize) -> Vec<u8>
-where
-    S: TileStage<In = usize, Out = [i8; 64]>,
-{
+pub fn encode_rle(stage: &(impl Fn(usize) -> [i8; 64] + Sync), num_blocks: usize) -> Vec<u8> {
     // Small-input shortcut on input size only (never the thread count),
     // same threshold as the staged coder, so obs event streams stay
     // byte-equal across thread counts.
     if num_blocks < 2 * TILES_PER_CHUNK {
         let mut w = BitWriter::pooled(num_blocks * 64);
         for bi in 0..num_blocks {
-            rle::encode_block(&mut w, &stage.apply(bi));
+            rle::encode_block(&mut w, &stage(bi));
         }
         return w.finish();
     }
@@ -178,7 +71,7 @@ where
         let b1 = (b0 + TILES_PER_CHUNK).min(num_blocks);
         let mut w = BitWriter::pooled((b1 - b0) * 64);
         for bi in b0..b1 {
-            rle::encode_block(&mut w, &stage.apply(bi));
+            rle::encode_block(&mut w, &stage(bi));
         }
         w
     });
@@ -191,10 +84,7 @@ where
 
 /// Streams `num_blocks` tiles out of `stage` into a ZVC stream —
 /// equal to `Zvc::compress_i8` over the flattened tiles.
-pub fn encode_zvc<S>(stage: &S, num_blocks: usize) -> Zvc
-where
-    S: TileStage<In = usize, Out = [i8; 64]>,
-{
+pub fn encode_zvc(stage: &(impl Fn(usize) -> [i8; 64] + Sync), num_blocks: usize) -> Zvc {
     // 64 one-byte words per tile: 8 whole mask bytes per tile, so chunk
     // mask/value streams concatenate on byte boundaries.
     let encode_span = |b0: usize, b1: usize| {
@@ -203,7 +93,7 @@ where
         let mut mask: Vec<u8> = jact_pool::take_zeroed((b1 - b0) * 8);
         let mut values: Vec<u8> = jact_pool::take((b1 - b0) * 64);
         for (k, bi) in (b0..b1).enumerate() {
-            let tile = stage.apply(bi);
+            let tile = stage(bi);
             for (w, &v) in tile.iter().enumerate() {
                 if v != 0 {
                     mask[k * 8 + w / 8] |= 1 << (w % 8);
@@ -256,15 +146,16 @@ fn scatter_tile(layout: &BlockLayout, bi: usize, tile: &[i8; 64], chunk: &mut [i
 
 /// Streams quantized tiles through `stage` (dequantize → inverse DCT)
 /// and scatters the spatial rows into a fresh unpadded value plane —
-/// the decode mirror of a [`Gather`]-fed encode.
-pub fn untile_blocks<S>(layout: &BlockLayout, quantized: &[[i8; 64]], stage: &S) -> Vec<i8>
-where
-    S: TileStage<In = [i8; 64], Out = [i8; 64]>,
-{
+/// the decode mirror of a `gather_block`-fed encode.
+pub fn untile_blocks(
+    layout: &BlockLayout,
+    quantized: &[[i8; 64]],
+    stage: &(impl Fn([i8; 64]) -> [i8; 64] + Sync),
+) -> Vec<i8> {
     let mut out: Vec<i8> = jact_pool::take_zeroed(layout.shape().len());
     for_scatter_chunks(layout, &mut out, |blocks, chunk, chunk_off| {
         for bi in blocks {
-            let tile = stage.apply(quantized[bi]);
+            let tile = stage(quantized[bi]);
             scatter_tile(layout, bi, &tile, chunk, chunk_off);
         }
     });
@@ -280,10 +171,11 @@ where
 ///
 /// Returns [`CodecError::Corrupt`] if the stream's word width is not one
 /// byte or its word count disagrees with the layout's block count.
-pub fn decode_zvc<S>(layout: &BlockLayout, z: &Zvc, stage: &S) -> Result<Vec<i8>, CodecError>
-where
-    S: TileStage<In = [i8; 64], Out = [i8; 64]>,
-{
+pub fn decode_zvc(
+    layout: &BlockLayout,
+    z: &Zvc,
+    stage: &(impl Fn([i8; 64]) -> [i8; 64] + Sync),
+) -> Result<Vec<i8>, CodecError> {
     if z.word_bytes() != 1 {
         return Err(CodecError::Corrupt("not an i8 ZVC stream"));
     }
@@ -309,7 +201,7 @@ where
                     vi += 1;
                 }
             }
-            let tile = stage.apply(q);
+            let tile = stage(q);
             scatter_tile(layout, bi, &tile, chunk, chunk_off);
         }
     });
@@ -348,8 +240,9 @@ fn for_scatter_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dct::{dct2d_i8, idct2d_to_i8};
     use crate::dqt::Dqt;
-    use crate::quant::{quantize, QuantKind};
+    use crate::quant::{quantize, QuantKind, QuantTables};
     use jact_tensor::Shape;
 
     fn ramp(n: usize) -> Vec<i8> {
@@ -370,8 +263,12 @@ mod tests {
         layout: &'a BlockLayout,
         values: &'a [i8],
         tables: &'a QuantTables,
-    ) -> impl TileStage<In = usize, Out = [i8; 64]> + 'a {
-        Then(Gather { layout, values }, Then(ForwardDct, Quantize(tables)))
+    ) -> impl Fn(usize) -> [i8; 64] + Sync + 'a {
+        move |bi| tables.quantize_block(&dct2d_i8(&layout.gather_block(values, bi)))
+    }
+
+    fn decode_stage(tables: &QuantTables) -> impl Fn([i8; 64]) -> [i8; 64] + Sync + '_ {
+        move |q| idct2d_to_i8(&tables.dequantize_block(&q))
     }
 
     #[test]
@@ -423,7 +320,7 @@ mod tests {
         let layout = BlockLayout::new(&shape);
         let dqt = Dqt::opt_l();
         let tables = QuantTables::new(QuantKind::Shift, &dqt);
-        let stage = Then(Dequantize(&tables), InverseDct);
+        let stage = decode_stage(&tables);
         // Wrong word width.
         let z4 = Zvc::compress(&[0u8; 64 * 4], 4).expect("aligned");
         assert!(decode_zvc(&layout, &z4, &stage).is_err());
@@ -448,7 +345,7 @@ mod tests {
             let tables = QuantTables::new(QuantKind::Shift, &dqt);
             let enc = encode_stage(&layout, &values, &tables);
             let z = encode_zvc(&enc, layout.num_blocks());
-            let dec = Then(Dequantize(&tables), InverseDct);
+            let dec = decode_stage(&tables);
             let got = decode_zvc(&layout, &z, &dec).expect("valid stream");
             // Staged reference decode.
             let staged_q = staged_quantized(&layout, &values, QuantKind::Shift, &dqt);
@@ -470,7 +367,7 @@ mod tests {
         let dqt = Dqt::opt_l();
         let tables = QuantTables::new(QuantKind::Div, &dqt);
         let q = staged_quantized(&layout, &values, QuantKind::Div, &dqt);
-        let dec = Then(Dequantize(&tables), InverseDct);
+        let dec = decode_stage(&tables);
         let got = untile_blocks(&layout, &q, &dec);
         let staged_spatial: Vec<[i8; 64]> = q
             .iter()

@@ -32,7 +32,8 @@ use crate::csr::Csr;
 use crate::csr::MAX_ROW;
 use crate::dqt::Dqt;
 use crate::error::CodecError;
-use crate::pipeline::{CodedBlocks, CompressedActivation, JpegPayload, Payload, QuantKind2};
+use crate::pipeline::{CodedBlocks, CompressedActivation, JpegPayload, Payload};
+use crate::quant::QuantKind;
 use crate::seal::{
     self, le_bytes, put_f32, put_f32s, put_u16, put_u32, put_u32s, put_u64, FrameError, Layout,
     Reader,
@@ -381,8 +382,8 @@ pub fn serialize_into(c: &CompressedActivation, out: &mut Vec<u8>) {
         Payload::Jpeg(p) => {
             put_sfpr(out, &p.meta);
             out.push(match p.quant {
-                QuantKind2::Div => 0,
-                QuantKind2::Shift => 1,
+                QuantKind::Div => 0,
+                QuantKind::Shift => 1,
             });
             put_dqt(out, &p.dqt);
             match &p.coded {
@@ -471,8 +472,8 @@ pub fn deserialize(bytes: &[u8]) -> Result<CompressedActivation, CodecError> {
         TAG_JPEG => {
             let meta = read_sfpr(&mut r, false)?;
             let quant = match r.u8()? {
-                0 => QuantKind2::Div,
-                1 => QuantKind2::Shift,
+                0 => QuantKind::Div,
+                1 => QuantKind::Shift,
                 _ => return Err(bad(&r, "unknown quantizer tag")),
             };
             let dqt = read_dqt(&mut r)?;
@@ -652,7 +653,7 @@ mod tests {
             }
             Payload::Jpeg(p) => {
                 sfpr(&mut out, &p.meta);
-                out.push(matches!(p.quant, QuantKind2::Shift) as u8);
+                out.push(matches!(p.quant, QuantKind::Shift) as u8);
                 put_dqt(&mut out, &p.dqt);
                 match &p.coded {
                     CodedBlocks::Rle { bytes, count } => {

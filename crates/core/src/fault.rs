@@ -106,15 +106,16 @@ impl FaultConfig {
     }
 
     /// Derives the per-delivery channel configuration for one keyed
-    /// delivery stream (e.g. one activation id in a batched load).
+    /// delivery (the `jact-serve` bus keys on tenant, tensor and
+    /// attempt).
     ///
-    /// Batched loads deliver frames concurrently, so they cannot share
-    /// the store's single sequential [`FaultInjector`] without making the
-    /// fault pattern depend on scheduling order.  Instead each delivery
-    /// stream gets its own child channel whose seed is a SplitMix64
-    /// expansion of `(self.seed, key)` — fully determined by the
-    /// configuration and the key, independent of thread count and of the
-    /// order loads are issued in.
+    /// A server answers loads in whatever order its tenants issue them,
+    /// so its deliveries cannot share one sequential [`FaultInjector`]
+    /// without making the fault pattern depend on that order.  Instead
+    /// each delivery gets its own child channel whose seed is a
+    /// SplitMix64 expansion of `(self.seed, key)` — fully determined by
+    /// the configuration and the key, independent of thread count and of
+    /// the order loads are issued in.
     pub fn for_delivery(&self, key: u64) -> FaultConfig {
         let mut sm = jact_rng::SplitMix64::new(self.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         FaultConfig {
@@ -358,11 +359,6 @@ impl FaultInjector {
             rng: StdRng::seed_from_u64(cfg.seed),
             injected: 0,
         }
-    }
-
-    /// The channel configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Total individual faults applied across all deliveries.

@@ -19,9 +19,9 @@ use jact_codec::wire;
 use jact_dnn::act::{ActKind, ActivationId, ActivationStore, FaultReport};
 use jact_dnn::error::NetError;
 use jact_obs as obs;
-use jact_par::Pool;
 use jact_tensor::{Shape, Tensor};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Emits the offload save funnel for one compressed activation: the
 /// store-wide byte totals plus a per-kind compressed-bytes counter, so a
@@ -66,13 +66,21 @@ fn note_wire_load(frame_bytes: usize, d: &FaultReport) {
     }
 }
 
+/// The one stored form of a saved activation.
+enum Stored {
+    /// Direct mode, and entries saved before
+    /// [`enable_wire`](OffloadStore::enable_wire).
+    Memory(CompressedActivation),
+    /// Wire mode: the pristine serialized frame every (re)delivery draws
+    /// from.  The compressed activation it was written from has already
+    /// gone back to the buffer pool.
+    Frame(Vec<u8>),
+}
+
 struct Entry {
-    compressed: CompressedActivation,
+    stored: Stored,
     codec: Box<dyn Codec>,
     original_shape: Shape,
-    /// Pristine serialized wire frame — the shadow copy redeliveries draw
-    /// from.  Present only in `through_wire` mode.
-    frame: Option<Vec<u8>>,
     /// Decompressed cache: a tensor may be consumed by several layers in
     /// one backward pass (aliased keys), and hardware would keep the
     /// prefetched copy in GPU memory for the same reason.
@@ -85,98 +93,46 @@ struct WireChannel {
     policy: RecoveryPolicy,
 }
 
-/// Why one load could not produce a tensor, before the activation id is
-/// attached to form a [`NetError`].
-enum LoadFailure {
-    /// The payload could not be decoded (and the policy does not retry).
-    Decode(String),
-    /// The retry budget was exhausted after `attempts` deliveries.
-    Exhausted {
-        attempts: u32,
-        last_error: String,
-    },
-}
-
-impl LoadFailure {
-    fn into_net_error(self, id: ActivationId) -> NetError {
-        match self {
-            LoadFailure::Decode(reason) => NetError::Store { id, reason },
-            LoadFailure::Exhausted {
-                attempts,
-                last_error,
-            } => NetError::RecoveryExhausted {
-                id,
-                attempts,
-                last_error,
-            },
-        }
-    }
-}
-
-/// Delivers `frame` through `injector`, decodes, and applies `policy` on
-/// corruption, accumulating the six wire counters into `faults`.
-///
-/// Shared by the sequential [`ActivationStore::load`] (which passes the
-/// store's cumulative counters and its one long-lived channel) and the
-/// batched [`ActivationStore::load_batch`] (which passes a fresh
-/// per-delivery channel and a zeroed delta merged in later).
+/// Delivers `frame` through the channel's injector, decodes, and applies
+/// its policy on corruption.  The six wire counters accumulate into a
+/// zeroed per-delivery delta, which is both traced and absorbed into
+/// `faults`.
 fn wire_load(
-    injector: &mut FaultInjector,
-    policy: RecoveryPolicy,
+    ch: &mut WireChannel,
     codec: &dyn Codec,
     frame: &[u8],
     original_shape: &Shape,
+    id: ActivationId,
     faults: &mut FaultReport,
-) -> Result<Tensor, LoadFailure> {
-    let mut delta = FaultReport::default();
-    let out = wire_load_counted(
-        injector,
-        policy,
-        codec,
-        frame,
-        original_shape,
-        &mut delta,
-    );
-    note_wire_load(frame.len(), &delta);
-    faults.absorb(&delta);
-    out
-}
-
-/// The uninstrumented body of [`wire_load`]: accumulates into a zeroed
-/// per-delivery delta so the caller can both trace and merge it.
-fn wire_load_counted(
-    injector: &mut FaultInjector,
-    policy: RecoveryPolicy,
-    codec: &dyn Codec,
-    frame: &[u8],
-    original_shape: &Shape,
-    faults: &mut FaultReport,
-) -> Result<Tensor, LoadFailure> {
-    faults.wire_loads += 1;
-    let retries = match policy {
+) -> Result<Tensor, NetError> {
+    let mut d = FaultReport {
+        wire_loads: 1,
+        ..FaultReport::default()
+    };
+    let retries = match ch.policy {
         RecoveryPolicy::Retry { attempts } => attempts,
         _ => 0,
     };
     let mut attempt = 0u32;
     let outcome = loop {
         if attempt > 0 {
-            faults.retried_loads += 1;
+            d.retried_loads += 1;
         }
-        let (rx, n) = injector.deliver(frame);
-        faults.faults_injected += n;
+        let (rx, n) = ch.injector.deliver(frame);
+        d.faults_injected += n;
         attempt += 1;
         let decoded = wire::deserialize(&rx).and_then(|c| codec.decompress(&c));
         jact_pool::give(rx);
         match decoded {
             Ok(t) => {
                 if attempt > 1 {
-                    faults.recovered_loads += 1;
+                    d.recovered_loads += 1;
                 }
                 break Ok(t);
             }
             Err(err) => {
                 if attempt == 1 {
-                    faults.corrupt_loads += 1;
+                    d.corrupt_loads += 1;
                 }
                 if attempt > retries {
                     break Err(err);
@@ -184,21 +140,28 @@ fn wire_load_counted(
             }
         }
     };
-    match outcome {
+    let out = match outcome {
         Ok(t) => Ok(t),
-        Err(err) => match policy {
+        Err(err) => match ch.policy {
             RecoveryPolicy::ZeroFill => {
-                faults.recovered_loads += 1;
-                faults.zero_filled_loads += 1;
+                d.recovered_loads += 1;
+                d.zero_filled_loads += 1;
                 Ok(Tensor::zeros(original_shape.clone()))
             }
-            RecoveryPolicy::Fail => Err(LoadFailure::Decode(err.to_string())),
-            RecoveryPolicy::Retry { .. } => Err(LoadFailure::Exhausted {
+            RecoveryPolicy::Fail => Err(NetError::Store {
+                id,
+                reason: err.to_string(),
+            }),
+            RecoveryPolicy::Retry { .. } => Err(NetError::RecoveryExhausted {
+                id,
                 attempts: attempt,
                 last_error: err.to_string(),
             }),
         },
-    }
+    };
+    note_wire_load(frame.len(), &d);
+    faults.absorb(&d);
+    out
 }
 
 /// Returns a replaced (or cleared) entry's wire-frame storage to the
@@ -206,23 +169,25 @@ fn wire_load_counted(
 /// steps — the steady-state training loop — reuses one frame buffer
 /// instead of allocating per step.
 fn recycle_entry(evicted: Option<Entry>) {
-    if let Some(e) = evicted {
-        if let Some(frame) = e.frame {
-            jact_pool::give(frame);
-        }
+    if let Some(Entry {
+        stored: Stored::Frame(frame),
+        ..
+    }) = evicted
+    {
+        jact_pool::give(frame);
     }
 }
 
 /// An [`ActivationStore`] that compresses on save / decompresses on load.
 ///
-/// In the default mode, `load` decompresses the in-memory
-/// [`CompressedActivation`] directly.  In [`through_wire`](Self::through_wire)
-/// mode, every save additionally serializes the compressed activation into
-/// a framed [`wire`] buffer, and every load round-trips that buffer
-/// through a seeded [`FaultInjector`] and [`wire::deserialize`] — so the
-/// full offload transport, including corruption detection (CRC32, bounds
-/// checks) and the configured [`RecoveryPolicy`], is exercised on the
-/// training path.
+/// In the default mode, `save` keeps the in-memory
+/// [`CompressedActivation`] and `load` decompresses it directly.  In
+/// [`through_wire`](Self::through_wire) mode, every save instead keeps the
+/// compressed activation serialized as a framed [`wire`] buffer, and every
+/// load round-trips that buffer through a seeded [`FaultInjector`] and
+/// [`wire::deserialize`] — so the full offload transport, including
+/// corruption detection (CRC32, bounds checks) and the configured
+/// [`RecoveryPolicy`], is exercised on the training path.
 pub struct OffloadStore {
     scheme: Scheme,
     epoch: usize,
@@ -255,23 +220,13 @@ impl OffloadStore {
     }
 
     /// Switches an existing store into wire mode.  Entries saved before
-    /// the switch have no serialized shadow frame and keep loading over
-    /// the direct in-memory path.
+    /// the switch were never serialized and keep loading over the direct
+    /// in-memory path.
     pub fn enable_wire(&mut self, cfg: FaultConfig, policy: RecoveryPolicy) {
         self.wire = Some(WireChannel {
             injector: FaultInjector::new(cfg),
             policy,
         });
-    }
-
-    /// `true` if loads go through the fault-injected wire path.
-    pub fn wire_enabled(&self) -> bool {
-        self.wire.is_some()
-    }
-
-    /// The recovery policy, when wire mode is on.
-    pub fn recovery_policy(&self) -> Option<RecoveryPolicy> {
-        self.wire.as_ref().map(|w| w.policy)
     }
 
     /// Sets the current epoch (drives piece-wise DQT schedules).
@@ -300,16 +255,16 @@ impl OffloadStore {
         &self.step_log
     }
 
-    /// Reshapes rank-2 `[N, D]` to `[N, D, 1, 1]` for NCHW-only codecs.
-    fn to_rank4(x: &Tensor) -> Tensor {
-        if x.shape().rank() == 4 {
-            x.clone()
-        } else if x.shape().rank() == 2 {
-            let (n, d) = (x.shape().dim(0), x.shape().dim(1));
-            x.reshape(Shape::nchw(n, d, 1, 1))
-        } else {
-            let len = x.len();
-            x.reshape(Shape::nchw(1, len, 1, 1))
+    /// Views rank-2 `[N, D]` as `[N, D, 1, 1]` for NCHW-only codecs;
+    /// a rank-4 activation is borrowed as it is.
+    fn to_rank4(x: &Tensor) -> Cow<'_, Tensor> {
+        match x.shape().rank() {
+            4 => Cow::Borrowed(x),
+            2 => {
+                let (n, d) = (x.shape().dim(0), x.shape().dim(1));
+                Cow::Owned(x.reshape(Shape::nchw(n, d, 1, 1)))
+            }
+            _ => Cow::Owned(x.reshape(Shape::nchw(1, x.len(), 1, 1))),
         }
     }
 }
@@ -319,32 +274,27 @@ impl ActivationStore for OffloadStore {
         let x4 = Self::to_rank4(x);
         let codec = self.scheme.codec_for(kind, x4.shape(), self.epoch);
         let compressed = codec.compress(&x4);
-        self.stats
-            .record(kind, compressed.uncompressed_bytes(), compressed.compressed_bytes());
-        self.step_log.push((
-            kind,
-            compressed.uncompressed_bytes(),
-            compressed.compressed_bytes(),
-        ));
-        note_save(
-            kind,
-            compressed.uncompressed_bytes(),
-            compressed.compressed_bytes(),
-        );
-        let frame = self.wire.as_ref().map(|_| wire::serialize(&compressed));
-        if let Some(frame) = &frame {
+        let (unc, comp) = (compressed.uncompressed_bytes(), compressed.compressed_bytes());
+        self.stats.record(kind, unc, comp);
+        self.step_log.push((kind, unc, comp));
+        note_save(kind, unc, comp);
+        let stored = if self.wire.is_some() {
+            let frame = wire::serialize(&compressed);
+            compressed.recycle();
             if obs::is_active() {
                 obs::count("wire.frames", 1);
                 obs::count("wire.frame_bytes_out", frame.len() as u64);
             }
-        }
+            Stored::Frame(frame)
+        } else {
+            Stored::Memory(compressed)
+        };
         let evicted = self.entries.insert(
             id,
             Entry {
-                compressed,
+                stored,
                 codec,
                 original_shape: x.shape().clone(),
-                frame,
                 cache: None,
             },
         );
@@ -365,175 +315,31 @@ impl ActivationStore for OffloadStore {
         if obs::is_active() {
             obs::count("offload.loads", 1);
         }
-        let t = match (&mut self.wire, &e.frame) {
-            (Some(ch), Some(frame)) => wire_load(
-                &mut ch.injector,
-                ch.policy,
+        let t = match (&e.stored, &mut self.wire) {
+            (Stored::Frame(frame), Some(ch)) => wire_load(
+                ch,
                 e.codec.as_ref(),
                 frame,
                 &e.original_shape,
+                id,
                 self.stats.faults_mut(),
-            )
-            .map_err(|f| f.into_net_error(id))?,
-            _ => e
-                .codec
-                .decompress(&e.compressed)
-                .map_err(|err| NetError::Store {
+            )?,
+            // A frame is only ever written by a store that has a channel,
+            // and the channel is never taken away again.
+            (Stored::Frame(_), None) => {
+                return Err(NetError::Store {
                     id,
-                    reason: err.to_string(),
-                })?,
+                    reason: "wire frame stored without a wire channel".to_string(),
+                })
+            }
+            (Stored::Memory(c), _) => e.codec.decompress(c).map_err(|err| NetError::Store {
+                id,
+                reason: err.to_string(),
+            })?,
         };
         let t = t.reshape(e.original_shape.clone());
         e.cache = Some(t.clone());
         Ok(t)
-    }
-
-    /// Compresses (and in wire mode serializes) all items concurrently on
-    /// the current [`Pool`], then records statistics and inserts entries
-    /// sequentially in item order — so the resulting store state is
-    /// byte-identical to looping [`save`](ActivationStore::save),
-    /// regardless of thread count.
-    fn save_batch(&mut self, items: Vec<(ActivationId, ActKind, Tensor)>) {
-        let wire_on = self.wire.is_some();
-        // Codec selection consults the scheme's mutable schedule state, so
-        // it stays sequential; the expensive transform is what fans out.
-        let prepared: Vec<(ActivationId, ActKind, Shape, Box<dyn Codec>, Tensor)> = items
-            .into_iter()
-            .map(|(id, kind, x)| {
-                let x4 = Self::to_rank4(&x);
-                let codec = self.scheme.codec_for(kind, x4.shape(), self.epoch);
-                (id, kind, x.shape().clone(), codec, x4)
-            })
-            .collect();
-        let compressed: Vec<(CompressedActivation, Option<Vec<u8>>)> = Pool::current()
-            .par_map_collect(&prepared, |_, (_, _, _, codec, x4)| {
-                let c = codec.compress(x4);
-                let frame = wire_on.then(|| wire::serialize(&c));
-                (c, frame)
-            });
-        for ((id, kind, original_shape, codec, _), (compressed, frame)) in
-            prepared.into_iter().zip(compressed)
-        {
-            self.stats.record(
-                kind,
-                compressed.uncompressed_bytes(),
-                compressed.compressed_bytes(),
-            );
-            self.step_log.push((
-                kind,
-                compressed.uncompressed_bytes(),
-                compressed.compressed_bytes(),
-            ));
-            note_save(
-                kind,
-                compressed.uncompressed_bytes(),
-                compressed.compressed_bytes(),
-            );
-            if let Some(frame) = &frame {
-                if obs::is_active() {
-                    obs::count("wire.frames", 1);
-                    obs::count("wire.frame_bytes_out", frame.len() as u64);
-                }
-            }
-            let evicted = self.entries.insert(
-                id,
-                Entry {
-                    compressed,
-                    codec,
-                    original_shape,
-                    frame,
-                    cache: None,
-                },
-            );
-            recycle_entry(evicted);
-        }
-    }
-
-    /// Decompresses all uncached ids concurrently on the current [`Pool`].
-    ///
-    /// In wire mode every id gets its own delivery channel derived by
-    /// [`FaultConfig::for_delivery`] from the store's fault seed and the
-    /// activation id, so the fault pattern each frame sees — and therefore
-    /// every returned tensor and every counter — depends only on the
-    /// configuration and the id, never on thread count or on the order
-    /// deliveries happen to complete in.  Per-load counter deltas are
-    /// merged into the cumulative [`CompressionStats`] in ascending id
-    /// order.
-    fn load_batch(&mut self, ids: &[ActivationId]) -> Result<Vec<Tensor>, NetError> {
-        for &id in ids {
-            if !self.entries.contains_key(&id) {
-                return Err(NetError::MissingActivation(id));
-            }
-        }
-        let requested: BTreeSet<ActivationId> = ids.iter().copied().collect();
-        let wire_cfg: Option<(FaultConfig, RecoveryPolicy)> = self
-            .wire
-            .as_ref()
-            .map(|ch| (*ch.injector.config(), ch.policy));
-        // Decode every requested id that is not already cached.  The work
-        // list borrows the entries immutably; all mutation happens after
-        // the parallel region, in ascending id order.
-        let outcomes: Vec<(ActivationId, Result<Tensor, LoadFailure>, FaultReport)> = {
-            let work: Vec<(ActivationId, &Entry)> = self
-                .entries
-                .iter()
-                .filter(|(id, e)| requested.contains(id) && e.cache.is_none())
-                .map(|(&id, e)| (id, e))
-                .collect();
-            Pool::current().par_map_collect(&work, |_, &(id, entry)| {
-                if obs::is_active() {
-                    obs::count("offload.loads", 1);
-                }
-                let mut delta = FaultReport::default();
-                let res = match (&wire_cfg, &entry.frame) {
-                    (Some((cfg, policy)), Some(frame)) => {
-                        let mut inj = FaultInjector::new(cfg.for_delivery(id));
-                        wire_load(
-                            &mut inj,
-                            *policy,
-                            entry.codec.as_ref(),
-                            frame,
-                            &entry.original_shape,
-                            &mut delta,
-                        )
-                    }
-                    _ => entry
-                        .codec
-                        .decompress(&entry.compressed)
-                        .map_err(|err| LoadFailure::Decode(err.to_string())),
-                };
-                (id, res.map(|t| t.reshape(entry.original_shape.clone())), delta)
-            })
-        };
-        let mut failures: BTreeMap<ActivationId, LoadFailure> = BTreeMap::new();
-        for (id, res, delta) in outcomes {
-            self.stats.faults_mut().absorb(&delta);
-            match res {
-                Ok(t) => {
-                    if let Some(e) = self.entries.get_mut(&id) {
-                        e.cache = Some(t);
-                    }
-                }
-                Err(f) => {
-                    failures.insert(id, f);
-                }
-            }
-        }
-        if !failures.is_empty() {
-            for id in ids {
-                if let Some(f) = failures.remove(id) {
-                    return Err(f.into_net_error(*id));
-                }
-            }
-        }
-        ids.iter()
-            .map(|&id| {
-                self.entries
-                    .get(&id)
-                    .and_then(|e| e.cache.clone())
-                    .ok_or(NetError::MissingActivation(id))
-            })
-            .collect()
     }
 
     fn clear(&mut self) {
@@ -778,10 +584,41 @@ mod tests {
             FaultConfig::new(0.05, FaultModel::BitFlip, 7),
             RecoveryPolicy::Fail,
         );
-        assert!(s.wire_enabled());
-        // Entry predates wire mode: no shadow frame, direct decode.
+        // Entry predates wire mode: never serialized, direct decode.
         assert!(s.load(1).is_ok());
         assert_eq!(s.fault_report().wire_loads, 0);
+        // Only entries saved after the switch cross the wire (and, at
+        // this fault rate under `Fail`, do not survive it).
+        s.save(2, ActKind::Conv, &x);
+        assert!(s.load(2).is_err());
+        assert!(s.load(1).is_ok());
+        assert_eq!(s.fault_report().wire_loads, 1);
+    }
+
+    #[test]
+    fn wire_save_returns_payload_buffers_to_the_pool() {
+        // A wire-mode entry keeps the frame alone: once serialized, the
+        // compressed activation's planes go back to the pool, so saving
+        // the same id again is served from the shelves.
+        let mut s = OffloadStore::through_wire(
+            Scheme::sfpr(),
+            FaultConfig::new(0.0, FaultModel::Mixed, 9),
+            RecoveryPolicy::Fail,
+        );
+        let x = smooth(Shape::nchw(2, 4, 16, 16));
+        jact_pool::clear_thread();
+        let misses_of_a_save = |s: &mut OffloadStore| {
+            jact_pool::reset_stats();
+            s.save(1, ActKind::Conv, &x);
+            jact_pool::stats().misses
+        };
+        let first = misses_of_a_save(&mut s);
+        let second = misses_of_a_save(&mut s);
+        assert!(first > 0, "a cold pool serves nothing");
+        assert!(second <= first, "second save missed {second}, first {first}");
+        // The replaced entry's frame is given back after the new one is
+        // written, so from the third save on nothing is allocated.
+        assert_eq!(misses_of_a_save(&mut s), 0);
     }
 
     #[test]

@@ -108,9 +108,8 @@ impl FaultReport {
         }
     }
 
-    /// Counter-wise accumulation of `delta` into `self`, for merging
-    /// per-load deltas produced by concurrent batch loads back into a
-    /// store's cumulative counters.
+    /// Counter-wise accumulation of `delta` into `self`, for merging one
+    /// load's counters into a store's cumulative ones.
     pub fn absorb(&mut self, delta: &FaultReport) {
         self.wire_loads += delta.wire_loads;
         self.faults_injected += delta.faults_injected;
@@ -118,11 +117,6 @@ impl FaultReport {
         self.retried_loads += delta.retried_loads;
         self.recovered_loads += delta.recovered_loads;
         self.zero_filled_loads += delta.zero_filled_loads;
-    }
-
-    /// `true` if any fault activity was observed.
-    pub fn any_faults(&self) -> bool {
-        self.faults_injected > 0 || self.corrupt_loads > 0
     }
 
     /// Fraction of wire loads that arrived corrupt (0 when no wire loads).

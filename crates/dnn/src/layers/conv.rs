@@ -104,11 +104,6 @@ impl Conv2d {
         self.out_c
     }
 
-    /// The key this conv loads its input from.
-    pub fn input_key_id(&self) -> ActivationId {
-        self.input_key
-    }
-
     /// Rows of a sample's lowered matrix: `C·K·K`.
     fn ckk(&self) -> usize {
         self.in_c * self.geom.kernel * self.geom.kernel

@@ -32,11 +32,6 @@ impl Relu {
             label: label.into(),
         }
     }
-
-    /// The key the output is saved under.
-    pub fn output_key_id(&self) -> ActivationId {
-        self.output_key
-    }
 }
 
 impl Layer for Relu {

@@ -106,12 +106,6 @@ impl Default for InferConfig {
 }
 
 impl InferConfig {
-    /// Sets the boundary mode (builder-style, for harnesses).
-    pub fn with_boundary(mut self, b: BoundaryMode) -> Self {
-        self.boundary = b;
-        self
-    }
-
     /// Sets the batching knobs (builder-style, for harnesses).
     pub fn with_batching(mut self, max_batch: usize, max_wait_ticks: u64) -> Self {
         self.max_batch = max_batch.max(1);

@@ -57,11 +57,6 @@ impl Entry {
         }
     }
 
-    /// `true` when the entry contains at least one placeholder.
-    pub fn is_template(&self) -> bool {
-        self.lits.len() > 1
-    }
-
     /// `true` when a concrete runtime `name` matches this entry: exact
     /// equality for plain entries; for templates, each placeholder must
     /// consume one non-empty, dot-free run between the literal parts.

@@ -338,11 +338,6 @@ pub fn lease<T: Poolable>(min_cap: usize) -> Lease<T> {
     Lease(take(min_cap))
 }
 
-/// [`lease`] zero-filled to `len`; see [`take_zeroed`].
-pub fn lease_zeroed<T: Poolable>(len: usize) -> Lease<T> {
-    Lease(take_zeroed(len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,7 +445,8 @@ mod tests {
     fn lease_returns_to_shelf_on_drop() {
         fresh();
         {
-            let mut l: Lease<f32> = lease_zeroed(256);
+            let mut l: Lease<f32> = lease(256);
+            l.resize(256, 0.0);
             l[0] = 1.0;
             assert_eq!(l.len(), 256);
         }

@@ -54,16 +54,6 @@ pub struct Xoshiro256PlusPlus {
 }
 
 impl Xoshiro256PlusPlus {
-    /// Builds a generator from raw state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (the one forbidden state).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256++ state must be non-zero");
-        Xoshiro256PlusPlus { s }
-    }
-
     /// The next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -69,7 +69,6 @@ struct PlannedOp {
 #[derive(Debug)]
 struct Pending {
     op_index: usize,
-    issued_at: Tick,
     /// Client-side give-up time for this issue.
     timeout_at: Tick,
     attempt: u32,
@@ -395,7 +394,6 @@ impl Session {
         }
         self.outstanding.insert(seq, Pending {
             op_index,
-            issued_at: now,
             timeout_at,
             attempt,
         });
@@ -406,12 +404,6 @@ impl Session {
         });
         self.bytes_sent += bytes.len() as u64;
         bytes
-    }
-
-    /// The tick of the most recent issue of any outstanding request
-    /// (used by harnesses to bound quiescence checks).
-    pub fn last_issue(&self) -> Option<Tick> {
-        self.outstanding.values().map(|p| p.issued_at).max()
     }
 }
 

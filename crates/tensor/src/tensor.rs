@@ -146,19 +146,6 @@ impl Tensor {
         }
     }
 
-    /// Reinterprets the shape in place (no copy); element order preserved.
-    ///
-    /// This is the "reshape requires no data movement" operation the paper
-    /// relies on when folding `N*C*H x W` for block alignment (Sec. III-C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, new_shape: Shape) {
-        assert_eq!(self.len(), new_shape.len());
-        self.shape = new_shape;
-    }
-
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {

@@ -120,3 +120,21 @@ fn baseline_roundtrips_through_the_committed_format() {
     let recorded = Baseline::parse(&Baseline::from_diagnostics(&analysis.violations).to_text());
     assert!(recorded.regressions(&analysis.violations).is_empty());
 }
+
+/// `loc_total.code` — non-test code lines under `crates/*/src` — as of
+/// the last PR that moved it.  A ratchet: lower it whenever code goes
+/// away; a PR that adds a subsystem must say what it replaces (ROADMAP
+/// aim 2), and raising this number is where it says so.
+const LOC_CODE_CEILING: usize = 18_279;
+
+#[test]
+fn non_test_code_stays_under_the_committed_ceiling() {
+    let analysis =
+        jact_analyze::analyze_workspace(&workspace_root()).expect("workspace is readable");
+    let code = analysis.loc_total().code;
+    assert!(
+        code <= LOC_CODE_CEILING,
+        "crates/*/src holds {code} non-test code lines, over LOC_CODE_CEILING = \
+         {LOC_CODE_CEILING}: raise it deliberately and say what the growth replaces"
+    );
+}

@@ -22,6 +22,7 @@
 //! inverse DCT → scatter) without panicking.
 
 use jact_codec::block::BlockLayout;
+use jact_codec::dct::idct2d_to_i8;
 use jact_codec::dpr::DprWidth;
 use jact_codec::dqt::Dqt;
 use jact_codec::pipeline::{
@@ -32,7 +33,7 @@ use jact_codec::quant::{QuantKind, QuantTables};
 use jact_codec::rle;
 use jact_codec::seal::{self, Assembler, FrameError, Layout};
 use jact_codec::stream::{self, BlockPayload};
-use jact_codec::tile::{decode_zvc, untile_blocks, Dequantize, InverseDct, Then};
+use jact_codec::tile::{decode_zvc, untile_blocks};
 use jact_codec::wire;
 use jact_codec::zvc::Zvc;
 use jact_codec::CodecError;
@@ -549,7 +550,7 @@ fn mutated_cdu_streams_split_to_typed_stream_errors_and_decode_fused() {
     let counts: Vec<usize> = streams.iter().map(|s| s.len()).collect();
     let frame = stream::collect(&streams).expect("valid payloads collect");
     let tables = QuantTables::new(QuantKind::Shift, &Dqt::opt_h());
-    let dec = Then(Dequantize(&tables), InverseDct);
+    let dec = |q: [i8; 64]| idct2d_to_i8(&tables.dequantize_block(&q));
 
     let mut rng = StdRng::seed_from_u64(0x57A7_0CD0);
     let mut stream_errors = 0usize;
@@ -604,7 +605,7 @@ fn mutated_zvc_parts_are_rejected_typed_or_decode_fused_without_panic() {
     let z = Zvc::compress_i8(&flat);
     let words = layout.num_blocks() * 64;
     let tables = QuantTables::new(QuantKind::Shift, &Dqt::opt_h());
-    let dec = Then(Dequantize(&tables), InverseDct);
+    let dec = |q: [i8; 64]| idct2d_to_i8(&tables.dequantize_block(&q));
 
     let mut rng = StdRng::seed_from_u64(0x2BAD_CAFE);
     let mut accepted = 0usize;
@@ -645,7 +646,7 @@ fn mutated_rle_streams_decode_fused_without_panic() {
     let blocks = sample_blocks(&layout, 0x0E11);
     let frame = rle::encode_blocks(&blocks);
     let tables = QuantTables::new(QuantKind::Div, &Dqt::opt_l());
-    let dec = Then(Dequantize(&tables), InverseDct);
+    let dec = |q: [i8; 64]| idct2d_to_i8(&tables.dequantize_block(&q));
 
     let mut rng = StdRng::seed_from_u64(0x0E11_0BAD);
     for case in 0..CASES_PER_GENERATOR {
