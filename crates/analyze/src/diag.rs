@@ -2,87 +2,63 @@
 
 use std::fmt;
 
-/// Stable diagnostic codes, one per lint pass.
+/// Stable diagnostic codes, one per lint pass; [`Code::title`] says what
+/// each enforces.  `JA06` (doc coverage) is retired, not reused: rustc's
+/// `missing_docs` holds that gate now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
-    /// Crate layering: low-layer crates must not depend on high layers.
     Ja01,
-    /// Hermeticity: every dependency is an in-workspace path dependency.
     Ja02,
-    /// Panic-freedom: no `unwrap`/`expect`/`panic!` in hot-path crates.
     Ja03,
-    /// Determinism: no wall clocks, hash containers, or ambient RNG.
     Ja04,
-    /// `#![forbid(unsafe_code)]` present in every lib crate root.
     Ja05,
-    /// Doc-comment coverage for public items in `codec` and `core`.
-    Ja06,
-    /// Concurrency hygiene: raw threads, locks, and mutable globals are
-    /// confined to `jact-par`.
     Ja07,
-    /// Print funnel: ad-hoc `println!`/`eprintln!`/`dbg!` stay out of
-    /// library code — reporting goes through `jact-obs` or the bench
-    /// binaries.
     Ja08,
-    /// Checked casts: narrowing `as` casts in codec/tensor kernels must
-    /// go through the `codec::cast` helpers (or carry a justified allow).
     Ja09,
-    /// Call-graph panic reachability: a hot-path `pub fn` must not
-    /// transitively reach a panic source through workspace calls.
     Ja10,
-    /// Silent error discard: `let _ =` on a `Result`, or a dangling
-    /// statement-position `.ok()`, outside tests and bench code.
     Ja11,
-    /// Parallel determinism: results leaving `jact-par` regions flow
-    /// through the chunk-index-ordered APIs, never shared-mutable state.
     Ja12,
-    /// Obs-schema registry: every span/counter name in code appears in
-    /// `crates/obs/obs_schema.txt`.
     Ja13,
-    /// Hot-path allocation: functions reachable from the fused tile
-    /// pipeline or the wire round-trip must not allocate fresh buffers —
-    /// scratch comes from `jact-pool`.
     Ja14,
 }
 
+/// The one lint table, in declaration order: code, its stable textual
+/// form, and what it enforces.  Scopes are named by their constant in
+/// [`crate::passes`] so a title cannot drift from the list it describes.
+const TABLE: [(Code, &str, &str); 13] = [
+    (Code::Ja01, "JA01", "crate layering: no LOW_LAYER crate depends on a HIGH_LAYER crate"),
+    (Code::Ja02, "JA02", "hermeticity: path-only dependencies, no registry or git source in any manifest or the lockfile"),
+    (Code::Ja03, "JA03", "panic-freedom: no unwrap/expect/panic!-family form in non-test code of HOT_PATH_CRATES and HOT_PATH_MODULES"),
+    (Code::Ja04, "JA04", "determinism: no wall clock, hash container or ambient RNG outside TIMING_EXEMPT_CRATES"),
+    (Code::Ja05, "JA05", "#![forbid(unsafe_code)] in every lib crate root"),
+    (Code::Ja07, "JA07", "concurrency hygiene: thread::spawn, locks and static mut only under CONCURRENCY_EXEMPT_PREFIX"),
+    (Code::Ja08, "JA08", "print funnel: println!/eprintln!/dbg! only in PRINT_EXEMPT_CRATES and binary entry points"),
+    (Code::Ja09, "JA09", "checked casts: narrowing `as` on runtime values in CAST_CHECKED_CRATES only inside CAST_HELPER_MODULES"),
+    (Code::Ja10, "JA10", "panic reachability: no hot-path pub fn reaches a panic source through workspace calls (indexing and division count in WIRE_SURFACE_MODULES)"),
+    (Code::Ja11, "JA11", "silent error discard: no `let _ =` on a Result or dangling `.ok()` outside ERROR_DISCARD_EXEMPT_CRATES"),
+    (Code::Ja12, "JA12", "parallel determinism: no Atomic*, and no shared-mutable cell inside a PAR_ORDERED_APIS closure, outside CONCURRENCY_EXEMPT_PREFIX"),
+    (Code::Ja13, "JA13", "obs-schema registry: every OBS_EMIT_FNS name is a literal registered in crates/obs/obs_schema.txt"),
+    (Code::Ja14, "JA14", "hot-path allocation: no fresh buffer reachable from STEADY_STATE_ROOTS in ALLOC_COVERED_CRATES"),
+];
+
 impl Code {
     /// All codes, in order.
-    pub const ALL: [Code; 14] = [
-        Code::Ja01,
-        Code::Ja02,
-        Code::Ja03,
-        Code::Ja04,
-        Code::Ja05,
-        Code::Ja06,
-        Code::Ja07,
-        Code::Ja08,
-        Code::Ja09,
-        Code::Ja10,
-        Code::Ja11,
-        Code::Ja12,
-        Code::Ja13,
-        Code::Ja14,
-    ];
+    pub const ALL: [Code; TABLE.len()] = {
+        let mut all = [Code::Ja01; TABLE.len()];
+        let mut i = 0;
+        while i < all.len() {
+            // `as_str` and `title` index the table by discriminant.
+            assert!(TABLE[i].0 as usize == i);
+            all[i] = TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
 
-    /// The stable textual form (`JA01` ... `JA07`) used in reports and
+    /// The stable textual form (`JA01` ... `JA14`) used in reports and
     /// `// jact-analyze: allow(...)` comments.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Code::Ja01 => "JA01",
-            Code::Ja02 => "JA02",
-            Code::Ja03 => "JA03",
-            Code::Ja04 => "JA04",
-            Code::Ja05 => "JA05",
-            Code::Ja06 => "JA06",
-            Code::Ja07 => "JA07",
-            Code::Ja08 => "JA08",
-            Code::Ja09 => "JA09",
-            Code::Ja10 => "JA10",
-            Code::Ja11 => "JA11",
-            Code::Ja12 => "JA12",
-            Code::Ja13 => "JA13",
-            Code::Ja14 => "JA14",
-        }
+        TABLE[self as usize].1
     }
 
     /// Parses the textual form, case-insensitively.
@@ -95,22 +71,7 @@ impl Code {
 
     /// One-line description of what the lint enforces.
     pub fn title(self) -> &'static str {
-        match self {
-            Code::Ja01 => "crate layering (low layers must not depend on high layers)",
-            Code::Ja02 => "hermeticity (path-only dependencies, no registry/git sources)",
-            Code::Ja03 => "panic-freedom in hot-path crates (codec, tensor, rng, par, obs)",
-            Code::Ja04 => "determinism (no wall clocks, hash containers, ambient RNG)",
-            Code::Ja05 => "#![forbid(unsafe_code)] in every lib crate root",
-            Code::Ja06 => "doc-comment coverage for pub items in codec and core",
-            Code::Ja07 => "concurrency hygiene (raw threads, locks, static mut only in jact-par)",
-            Code::Ja08 => "print funnel (println!/eprintln!/dbg! only in bench, analyze, and bins)",
-            Code::Ja09 => "checked casts (narrowing `as` in codec/tensor kernels goes through codec::cast)",
-            Code::Ja10 => "call-graph panic reachability from hot-path pub fns",
-            Code::Ja11 => "silent error discard (`let _ =` on Result, dangling `.ok()`)",
-            Code::Ja12 => "parallel determinism (jact-par results via chunk-index-ordered APIs)",
-            Code::Ja13 => "obs-schema registry (span/counter names declared in obs_schema.txt)",
-            Code::Ja14 => "hot-path allocation (steady-state paths draw scratch from jact-pool)",
-        }
+        TABLE[self as usize].2
     }
 }
 

@@ -1,45 +1,30 @@
 //! CLI entry point: analyze the workspace, print diagnostics, write the
 //! JSON report, exit nonzero on violations.
 //!
-//! Usage: `jact-analyze [WORKSPACE_ROOT] [--report PATH] [--quiet]
-//! [--baseline PATH [--deny-new]] [--write-baseline PATH]`
+//! Usage: `jact-analyze [WORKSPACE_ROOT] [--report PATH] [--quiet]`
 //!
 //! With no root argument, walks upward from the current directory (or
 //! `CARGO_MANIFEST_DIR` when run under cargo) to the workspace root.
-//! `--write-baseline` records the current per-`(code, path)` finding
-//! counts; `--baseline` + `--deny-new` exits nonzero only on findings
-//! beyond the recorded counts (regressions), letting CI gate new debt
-//! while existing debt is burned down.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use jact_analyze::baseline::Baseline;
 use jact_analyze::diag::Code;
 use jact_analyze::driver;
 
 fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut deny_new = false;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--report" => report_path = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
-            "--deny-new" => deny_new = true,
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: jact-analyze [WORKSPACE_ROOT] [--report PATH] [--quiet] \
-                     [--baseline PATH [--deny-new]] [--write-baseline PATH]"
-                );
+                println!("usage: jact-analyze [WORKSPACE_ROOT] [--report PATH] [--quiet]");
                 return ExitCode::SUCCESS;
             }
             other => root_arg = Some(PathBuf::from(other)),
@@ -91,53 +76,6 @@ fn main() -> ExitCode {
             "jact-analyze: loc: {} files, {} code, {} test, {} comment/blank lines under crates/*/src",
             l.files, l.code, l.test, l.other
         );
-    }
-
-    if let Some(path) = write_baseline {
-        let text = Baseline::from_diagnostics(&analysis.violations).to_text();
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("jact-analyze: cannot write baseline {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !quiet {
-            println!(
-                "jact-analyze: baseline written to {} ({} finding(s) recorded)",
-                path.display(),
-                analysis.violations.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("jact-analyze: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = Baseline::parse(&text);
-        let regressions = baseline.regressions(&analysis.violations);
-        for r in &regressions {
-            eprintln!(
-                "jact-analyze: NEW {} finding(s) in {}: {} found, baseline allows {}",
-                r.code, r.path, r.found, r.allowed
-            );
-        }
-        if deny_new {
-            if regressions.is_empty() {
-                if !quiet {
-                    println!(
-                        "jact-analyze: no findings beyond baseline {} ({} violation(s) total)",
-                        path.display(),
-                        analysis.violations.len()
-                    );
-                }
-                return ExitCode::SUCCESS;
-            }
-            return ExitCode::FAILURE;
-        }
     }
 
     if !quiet {

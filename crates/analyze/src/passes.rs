@@ -1,17 +1,18 @@
-//! The fourteen lint passes.
+//! The thirteen lint passes ([`Code::title`] is the index).
 //!
-//! Per-file passes (JA03–JA09, JA11–JA13) take a lexed [`SourceFile`]
-//! (the syntax-aware ones also its parsed [`FileAst`]) and return
-//! diagnostics; workspace passes take the parsed manifests (JA01, JA02)
-//! or the whole-workspace call graph (JA10, JA14).  Every pass consults the
-//! file's inline suppressions, so a `// jact-analyze: allow(<code>)`
-//! comment on or directly above the offending line silences it.
+//! Per-file passes (JA03–JA05, JA07–JA09, JA11–JA13) take a lexed
+//! [`SourceFile`] (the syntax-aware ones also its parsed [`FileAst`]) and
+//! return diagnostics; workspace passes take the parsed manifests (JA01,
+//! JA02) or the whole-workspace call graph (JA10, JA14).  Every
+//! source-level finding goes out through [`SourceFile::report`], so a
+//! `// jact-analyze: allow(<code>)` comment on or directly above the
+//! offending line silences it.
 //!
 //! Banned names below are spelled as string literals on purpose: this
 //! crate is scanned by its own lints, and an *identifier* like a hash-map
 //! type would otherwise flag the analyzer itself.
 
-use crate::diag::{suppressed, Code, Diagnostic};
+use crate::diag::{Code, Diagnostic};
 use crate::graph::CallGraph;
 use crate::lexer::TokenKind;
 use crate::manifest::Manifest;
@@ -65,9 +66,28 @@ pub const HIGH_LAYER: [&str; 8] = [
 /// legitimately reads wall clocks, and the analyzer names banned idents.
 pub const TIMING_EXEMPT_CRATES: [&str; 2] = ["jact-bench", "jact-analyze"];
 
-/// Crates whose public items must carry doc comments (JA06).
-pub const DOC_COVERED_CRATES: [&str; 5] =
-    ["jact-codec", "jact-core", "jact-obs", "jact-serve", "jact-infer"];
+/// The one token loop behind JA03, JA04, JA07, JA08 and JA12: offers
+/// every identifier outside test regions to `rule`, together with a
+/// lookup for the meaningful token `d` places away (`""` past either
+/// end), and reports the message `rule` returns at that identifier.
+fn scan_idents<'f>(
+    file: &'f SourceFile,
+    code: Code,
+    rule: impl Fn(&'f str, &dyn Fn(isize) -> &'f str) -> Option<String>,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (mi, &ti) in file.meaningful.iter().enumerate() {
+        let t = &file.tokens[ti];
+        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
+            continue;
+        }
+        let near = |d: isize| file.word(mi.wrapping_add_signed(d));
+        if let Some(message) = rule(t.text(&file.text), &near) {
+            file.report(&mut out, code, t.line, t.col, message);
+        }
+    }
+    out
+}
 
 // ---------------------------------------------------------------------
 // JA01: crate layering.
@@ -169,51 +189,21 @@ pub fn ja02_hermetic(
 /// correctness bug, and fallible operations must surface typed errors
 /// instead.
 pub fn ja03_no_panics(file: &SourceFile) -> Vec<Diagnostic> {
-    let covered = HOT_PATH_CRATES.contains(&file.crate_name.as_str())
-        || HOT_PATH_MODULES.contains(&file.rel_path.as_str());
-    if !covered {
+    let scope = if HOT_PATH_CRATES.contains(&file.crate_name.as_str()) {
+        format!("crate `{}`", file.crate_name)
+    } else if HOT_PATH_MODULES.contains(&file.rel_path.as_str()) {
+        format!("module `{}`", file.rel_path)
+    } else {
         return Vec::new();
-    }
-    let mut out = Vec::new();
-    let toks = &file.tokens;
-    let text = &file.text;
-    for (mi, &ti) in file.meaningful.iter().enumerate() {
-        let t = &toks[ti];
-        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
-            continue;
-        }
-        let word = t.text(text);
-        let next = file
-            .meaningful
-            .get(mi + 1)
-            .map(|&n| toks[n].text(text))
-            .unwrap_or("");
-        let prev = mi
-            .checked_sub(1)
-            .and_then(|p| file.meaningful.get(p))
-            .map(|&p| toks[p].text(text))
-            .unwrap_or("");
+    };
+    scan_idents(file, Code::Ja03, |word, near| {
         let bad = match word {
-            "unwrap" | "expect" => prev == "." && next == "(",
-            "panic" | "unreachable" | "todo" | "unimplemented" => next == "!",
+            "unwrap" | "expect" => near(-1) == "." && near(1) == "(",
+            "panic" | "unreachable" | "todo" | "unimplemented" => near(1) == "!",
             _ => false,
         };
-        if bad && !suppressed(&file.suppressions, Code::Ja03, t.line) {
-            let scope = if HOT_PATH_CRATES.contains(&file.crate_name.as_str()) {
-                format!("crate `{}`", file.crate_name)
-            } else {
-                format!("module `{}`", file.rel_path)
-            };
-            out.push(Diagnostic::new(
-                Code::Ja03,
-                &file.rel_path,
-                t.line,
-                t.col,
-                format!("`{word}` in non-test code of hot-path {scope}"),
-            ));
-        }
-    }
-    out
+        bad.then(|| format!("`{word}` in non-test code of hot-path {scope}"))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -240,26 +230,9 @@ pub fn ja04_determinism(file: &SourceFile) -> Vec<Diagnostic> {
     if TIMING_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    for &ti in &file.meaningful {
-        let t = &file.tokens[ti];
-        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
-            continue;
-        }
-        let word = t.text(&file.text);
-        if let Some(why) = banned_nondeterminism(word) {
-            if !suppressed(&file.suppressions, Code::Ja04, t.line) {
-                out.push(Diagnostic::new(
-                    Code::Ja04,
-                    &file.rel_path,
-                    t.line,
-                    t.col,
-                    format!("`{word}` in non-test code: {why}"),
-                ));
-            }
-        }
-    }
-    out
+    scan_idents(file, Code::Ja04, |word, _| {
+        banned_nondeterminism(word).map(|why| format!("`{word}` in non-test code: {why}"))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -269,187 +242,14 @@ pub fn ja04_determinism(file: &SourceFile) -> Vec<Diagnostic> {
 /// Requires `#![forbid(unsafe_code)]` in a crate root.  Run only on
 /// `src/lib.rs` (and `src/main.rs` for binary-only crates) by the driver.
 pub fn ja05_forbid_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
-    let text = &file.text;
-    let toks = &file.tokens;
-    for (mi, &ti) in file.meaningful.iter().enumerate() {
-        if toks[ti].text(text) == "forbid" {
-            let next = file
-                .meaningful
-                .get(mi + 1)
-                .map(|&n| toks[n].text(text))
-                .unwrap_or("");
-            let arg = file
-                .meaningful
-                .get(mi + 2)
-                .map(|&n| toks[n].text(text))
-                .unwrap_or("");
-            if next == "(" && arg == "unsafe_code" {
-                return Vec::new();
-            }
-        }
-    }
-    if suppressed(&file.suppressions, Code::Ja05, 1) {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        Code::Ja05,
-        &file.rel_path,
-        1,
-        1,
-        "crate root lacks #![forbid(unsafe_code)]",
-    )]
-}
-
-// ---------------------------------------------------------------------
-// JA06: doc coverage.
-// ---------------------------------------------------------------------
-
-/// Requires (a) a leading `//!` module doc in every file and (b) a doc
-/// comment on every fully-`pub` item (fn, struct, enum, trait, const,
-/// static, type, union) outside test code, for the crates in
-/// [`DOC_COVERED_CRATES`].  `pub use` re-exports, `pub mod` declarations,
-/// restricted visibility (`pub(crate)` etc.), and struct fields are
-/// exempt.
-pub fn ja06_doc_coverage(file: &SourceFile) -> Vec<Diagnostic> {
-    if !DOC_COVERED_CRATES.contains(&file.crate_name.as_str()) {
-        return Vec::new();
-    }
-    let text = &file.text;
-    let toks = &file.tokens;
     let mut out = Vec::new();
-
-    // (a) Module doc: first non-whitespace token is a `//!` or `/*!` doc.
-    let has_module_doc = toks
-        .iter()
-        .find(|t| t.kind != TokenKind::Whitespace)
-        .is_some_and(|t| {
-            t.is_doc
-                && matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                && (t.text(text).starts_with("//!") || t.text(text).starts_with("/*!"))
-        });
-    if !has_module_doc && !suppressed(&file.suppressions, Code::Ja06, 1) {
-        out.push(Diagnostic::new(
-            Code::Ja06,
-            &file.rel_path,
-            1,
-            1,
-            "file lacks a leading //! module doc comment",
-        ));
-    }
-
-    // (b) Item docs.
-    for (mi, &ti) in file.meaningful.iter().enumerate() {
-        let t = &toks[ti];
-        if t.kind != TokenKind::Ident
-            || t.text(text) != "pub"
-            || file.in_test_region(t.start)
-        {
-            continue;
-        }
-        // Restricted visibility `pub(...)` is not public API.
-        let next = file.meaningful.get(mi + 1).map(|&n| toks[n].text(text));
-        if next == Some("(") {
-            continue;
-        }
-        let Some(kw) = item_keyword(file, mi) else {
-            continue;
-        };
-        if !has_preceding_doc(file, ti) && !suppressed(&file.suppressions, Code::Ja06, t.line) {
-            out.push(Diagnostic::new(
-                Code::Ja06,
-                &file.rel_path,
-                t.line,
-                t.col,
-                format!("public {kw} lacks a doc comment"),
-            ));
-        }
+    let has_forbid = (0..file.meaningful.len()).any(|mi| {
+        file.word(mi) == "forbid" && file.word(mi + 1) == "(" && file.word(mi + 2) == "unsafe_code"
+    });
+    if !has_forbid {
+        file.report(&mut out, Code::Ja05, 1, 1, "crate root lacks #![forbid(unsafe_code)]");
     }
     out
-}
-
-/// Resolves the item keyword after `pub` at meaningful index `mi`,
-/// skipping qualifiers (`const fn`, `unsafe fn`, `async fn`, `extern`).
-/// Returns `None` for exempt forms (`pub use`, `pub mod`, fields).
-fn item_keyword(file: &SourceFile, mi: usize) -> Option<&'static str> {
-    let text = &file.text;
-    let mut j = mi + 1;
-    let mut pending_const = false;
-    for _ in 0..4 {
-        let &ti = file.meaningful.get(j)?;
-        let word = file.tokens[ti].text(text);
-        match word {
-            "fn" => return Some("fn"),
-            "struct" => return Some("struct"),
-            "enum" => return Some("enum"),
-            "trait" => return Some("trait"),
-            "type" => return Some("type"),
-            "static" => return Some("static"),
-            "union" => return Some("union"),
-            "use" | "mod" | "impl" | "macro_rules" | "macro" => return None,
-            "const" => {
-                // `pub const fn f` is a fn; `pub const X: T` is a const.
-                pending_const = true;
-                j += 1;
-            }
-            "unsafe" | "async" | "extern" => {
-                j += 1;
-            }
-            _ if pending_const => return Some("const"),
-            _ => return None, // a field (`pub name: T`) or other form
-        }
-    }
-    if pending_const {
-        Some("const")
-    } else {
-        None
-    }
-}
-
-/// `true` if the token at index `ti` is preceded (skipping whitespace and
-/// `#[...]` attributes) by a doc comment.
-fn has_preceding_doc(file: &SourceFile, ti: usize) -> bool {
-    let toks = &file.tokens;
-    let text = &file.text;
-    let mut i = ti;
-    while i > 0 {
-        i -= 1;
-        let t = &toks[i];
-        match t.kind {
-            TokenKind::Whitespace => continue,
-            TokenKind::LineComment | TokenKind::BlockComment => {
-                if t.is_doc {
-                    // Only *outer* docs (`///`, `/**`) attach to the item;
-                    // an inner `//!`/`/*!` is the enclosing module's doc.
-                    let s = t.text(text);
-                    return s.starts_with("///") || s.starts_with("/**");
-                }
-                // A plain comment between doc and item is fine; keep looking.
-                continue;
-            }
-            // Skip an attribute: `... # [ ... ]` scanning backwards from `]`.
-            TokenKind::Punct if t.text(text) == "]" => {
-                let mut depth = 1usize;
-                while i > 0 && depth > 0 {
-                    i -= 1;
-                    match toks[i].text(text) {
-                        "]" => depth += 1,
-                        "[" => depth -= 1,
-                        _ => {}
-                    }
-                }
-                // Skip the `#` (and `!` if present) before the bracket.
-                while i > 0
-                    && matches!(toks[i - 1].kind, TokenKind::Punct)
-                    && matches!(toks[i - 1].text(text), "#" | "!")
-                {
-                    i -= 1;
-                }
-                continue;
-            }
-            _ => return false,
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -473,52 +273,26 @@ pub fn ja07_concurrency(file: &SourceFile) -> Vec<Diagnostic> {
     if file.rel_path.starts_with(CONCURRENCY_EXEMPT_PREFIX) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    let toks = &file.tokens;
-    let text = &file.text;
-    for (mi, &ti) in file.meaningful.iter().enumerate() {
-        let t = &toks[ti];
-        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
-            continue;
-        }
-        let word = t.text(text);
-        let at = |j: usize| {
-            file.meaningful
-                .get(j)
-                .map(|&n| toks[n].text(text))
-                .unwrap_or("")
-        };
-        let prev = |k: usize| mi.checked_sub(k).map(at).unwrap_or("");
+    scan_idents(file, Code::Ja07, |word, near| {
         let why = match word {
             // `thread::spawn` (with or without a `std::` prefix).  A
             // method call `pool.spawn(..)` or scope `s.spawn(..)` is
             // preceded by `.`, not `thread ::`, and is not flagged.
-            "spawn" if prev(1) == ":" && prev(2) == ":" && prev(3) == "thread" => {
-                Some("unscoped `thread::spawn` (route parallel work through jact-par)")
+            "spawn" if near(-1) == ":" && near(-2) == ":" && near(-3) == "thread" => {
+                "unscoped `thread::spawn` (route parallel work through jact-par)"
             }
             // Lock types, whether imported, qualified, or constructed.
             "Mutex" | "RwLock" => {
-                Some("lock-based shared state (nondeterministic acquisition order; use jact-par's chunk-indexed merges)")
+                "lock-based shared state (nondeterministic acquisition order; use jact-par's chunk-indexed merges)"
             }
             // `static mut` declarations.  The lexer emits `'static` as a
             // single Lifetime token, so `&'static mut T` cannot reach
             // this arm.
-            "static" if at(mi + 1) == "mut" => Some("`static mut` (mutable global state)"),
-            _ => None,
+            "static" if near(1) == "mut" => "`static mut` (mutable global state)",
+            _ => return None,
         };
-        if let Some(why) = why {
-            if !suppressed(&file.suppressions, Code::Ja07, t.line) {
-                out.push(Diagnostic::new(
-                    Code::Ja07,
-                    &file.rel_path,
-                    t.line,
-                    t.col,
-                    format!("`{word}` in non-test code outside crates/par: {why}"),
-                ));
-            }
-        }
-    }
-    out
+        Some(format!("`{word}` in non-test code outside crates/par: {why}"))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -544,35 +318,11 @@ pub fn ja08_print_funnel(file: &SourceFile) -> Vec<Diagnostic> {
     {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    let toks = &file.tokens;
-    let text = &file.text;
-    for (mi, &ti) in file.meaningful.iter().enumerate() {
-        let t = &toks[ti];
-        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
-            continue;
-        }
-        let word = t.text(text);
-        let next = file
-            .meaningful
-            .get(mi + 1)
-            .map(|&n| toks[n].text(text))
-            .unwrap_or("");
+    scan_idents(file, Code::Ja08, |word, near| {
         let bad = matches!(word, "println" | "eprintln" | "print" | "eprint" | "dbg")
-            && next == "!";
-        if bad && !suppressed(&file.suppressions, Code::Ja08, t.line) {
-            out.push(Diagnostic::new(
-                Code::Ja08,
-                &file.rel_path,
-                t.line,
-                t.col,
-                format!(
-                    "`{word}!` in library code: report through jact-obs or a bench binary"
-                ),
-            ));
-        }
-    }
-    out
+            && near(1) == "!";
+        bad.then(|| format!("`{word}!` in library code: report through jact-obs or a bench binary"))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -608,20 +358,19 @@ pub fn ja09_checked_casts(file: &SourceFile, ast: &FileAst) -> Vec<Diagnostic> {
             if !matches!(c.target.as_str(), "i8" | "u8" | "i16" | "u16")
                 || matches!(c.src, CastSrc::Literal | CastSrc::UpperPath)
                 || file.in_test_region(c.start)
-                || suppressed(&file.suppressions, Code::Ja09, c.line)
             {
                 continue;
             }
-            out.push(Diagnostic::new(
+            file.report(
+                &mut out,
                 Code::Ja09,
-                &file.rel_path,
                 c.line,
                 c.col,
                 format!(
                     "narrowing `as {}` cast on a runtime value in fn `{}`: use the checked helpers in codec::cast",
                     c.target, f.name
                 ),
-            ));
+            );
         }
     }
     out
@@ -662,32 +411,20 @@ fn panic_sources(graph: &CallGraph<'_>, id: crate::graph::NodeId) -> Vec<PanicSo
         return Vec::new();
     }
     let mut out = Vec::new();
-    for p in &f.panics {
-        if !suppressed(&file.suppressions, Code::Ja10, p.line) {
-            out.push(PanicSource {
-                what: format!("`{}`", p.what),
-                line: p.line,
-            });
+    let mut source = |what: String, line: u32| {
+        if !file.is_suppressed(Code::Ja10, line) {
+            out.push(PanicSource { what, line });
         }
+    };
+    for p in &f.panics {
+        source(format!("`{}`", p.what), p.line);
     }
     if WIRE_SURFACE_MODULES.contains(&file.rel_path.as_str()) && !f.is_const {
-        for ix in &f.indexes {
-            if !is_all_caps(&ix.receiver)
-                && !suppressed(&file.suppressions, Code::Ja10, ix.line)
-            {
-                out.push(PanicSource {
-                    what: "slice indexing".to_string(),
-                    line: ix.line,
-                });
-            }
+        for ix in f.indexes.iter().filter(|ix| !is_all_caps(&ix.receiver)) {
+            source("slice indexing".to_string(), ix.line);
         }
-        for d in &f.divs {
-            if d.rhs == DivRhs::Other && !suppressed(&file.suppressions, Code::Ja10, d.line) {
-                out.push(PanicSource {
-                    what: format!("`{}` with a runtime divisor", d.op),
-                    line: d.line,
-                });
-            }
+        for d in f.divs.iter().filter(|d| d.rhs == DivRhs::Other) {
+            source(format!("`{}` with a runtime divisor", d.op), d.line);
         }
     }
     out.sort_by_key(|s| s.line);
@@ -712,9 +449,6 @@ pub fn ja10_panic_reachability(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
             if !f.is_pub || f.body.is_none() || file.in_test_region(f.start) {
                 continue;
             }
-            if suppressed(&file.suppressions, Code::Ja10, f.line) {
-                continue;
-            }
             let root = (fi, xi);
             let pred = graph.reachable(root);
             let mut nodes: Vec<crate::graph::NodeId> = vec![root];
@@ -731,9 +465,9 @@ pub fn ja10_panic_reachability(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
                 } else {
                     format!(" via {}", graph.chain(root, id, &pred))
                 };
-                out.push(Diagnostic::new(
+                file.report(
+                    &mut out,
                     Code::Ja10,
-                    &file.rel_path,
                     f.line,
                     f.col,
                     format!(
@@ -744,7 +478,7 @@ pub fn ja10_panic_reachability(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
                         src.line,
                         via
                     ),
-                ));
+                );
             }
         }
     }
@@ -790,13 +524,6 @@ pub fn ja11_error_discard(file: &SourceFile, graph: &CallGraph<'_>) -> Vec<Diagn
     }
     let mut out = Vec::new();
     let toks = &file.tokens;
-    let text = &file.text;
-    let word = |mi: usize| -> &str {
-        file.meaningful
-            .get(mi)
-            .map(|&t| toks[t].text(text))
-            .unwrap_or("")
-    };
     let n = file.meaningful.len();
     for mi in 0..n {
         let t = &toks[file.meaningful[mi]];
@@ -804,13 +531,13 @@ pub fn ja11_error_discard(file: &SourceFile, graph: &CallGraph<'_>) -> Vec<Diagn
             continue;
         }
         // `let _ = <expr> ;`
-        if word(mi) == "let" && word(mi + 1) == "_" && word(mi + 2) == "=" {
+        if file.word(mi) == "let" && file.word(mi + 1) == "_" && file.word(mi + 2) == "=" {
             // Find the statement-terminating `;` at bracket depth 0.
             let mut depth = 0usize;
             let mut j = mi + 3;
             let mut end = None;
             while j < n {
-                match word(j) {
+                match file.word(j) {
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth = depth.saturating_sub(1),
                     ";" if depth == 0 => {
@@ -822,32 +549,32 @@ pub fn ja11_error_discard(file: &SourceFile, graph: &CallGraph<'_>) -> Vec<Diagn
                 j += 1;
             }
             let Some(end) = end else { continue };
-            if end > mi + 3 && word(end - 1) == "?" {
+            if end > mi + 3 && file.word(end - 1) == "?" {
                 continue; // error propagated before the discard
             }
             let offender = (mi + 3..end).find(|&j| {
-                word(j + 1) == "("
+                file.word(j + 1) == "("
                     && toks[file.meaningful[j]].kind == TokenKind::Ident
-                    && (KNOWN_STD_RESULT_FNS.contains(&word(j))
-                        || graph.returns_result(word(j)))
+                    && (KNOWN_STD_RESULT_FNS.contains(&file.word(j))
+                        || graph.returns_result(file.word(j)))
             });
-            if offender.is_some() && !suppressed(&file.suppressions, Code::Ja11, t.line) {
-                out.push(Diagnostic::new(
+            if offender.is_some() {
+                file.report(
+                    &mut out,
                     Code::Ja11,
-                    &file.rel_path,
                     t.line,
                     t.col,
                     "`let _ =` discards a Result: handle the error or propagate it with `?`",
-                ));
+                );
             }
             continue;
         }
         // Dangling `.ok();` in statement position.
-        if word(mi) == "."
-            && word(mi + 1) == "ok"
-            && word(mi + 2) == "("
-            && word(mi + 3) == ")"
-            && word(mi + 4) == ";"
+        if file.word(mi) == "."
+            && file.word(mi + 1) == "ok"
+            && file.word(mi + 2) == "("
+            && file.word(mi + 3) == ")"
+            && file.word(mi + 4) == ";"
         {
             // Walk back to the statement start; a binding, assignment, or
             // `return` means the Option is actually used.
@@ -855,7 +582,7 @@ pub fn ja11_error_discard(file: &SourceFile, graph: &CallGraph<'_>) -> Vec<Diagn
             let mut used = false;
             while j > 0 {
                 j -= 1;
-                match word(j) {
+                match file.word(j) {
                     ";" | "{" | "}" => break,
                     "let" | "=" | "return" => {
                         used = true;
@@ -865,14 +592,14 @@ pub fn ja11_error_discard(file: &SourceFile, graph: &CallGraph<'_>) -> Vec<Diagn
                 }
             }
             let ok_tok = &toks[file.meaningful[mi + 1]];
-            if !used && !suppressed(&file.suppressions, Code::Ja11, ok_tok.line) {
-                out.push(Diagnostic::new(
+            if !used {
+                file.report(
+                    &mut out,
                     Code::Ja11,
-                    &file.rel_path,
                     ok_tok.line,
                     ok_tok.col,
                     "dangling `.ok()` discards a Result: handle the error or propagate it",
-                ));
+                );
             }
         }
     }
@@ -913,29 +640,13 @@ pub fn ja12_parallel_determinism(file: &SourceFile, ast: &FileAst) -> Vec<Diagno
     if file.rel_path.starts_with(CONCURRENCY_EXEMPT_PREFIX) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    let toks = &file.tokens;
-    let text = &file.text;
-    for &ti in &file.meaningful {
-        let t = &toks[ti];
-        if t.kind != TokenKind::Ident || file.in_test_region(t.start) {
-            continue;
-        }
-        let w = t.text(text);
-        if w.starts_with("Atomic") && w.len() > "Atomic".len() {
-            if !suppressed(&file.suppressions, Code::Ja12, t.line) {
-                out.push(Diagnostic::new(
-                    Code::Ja12,
-                    &file.rel_path,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{w}` outside crates/par: aggregate through jact-par's chunk-index-ordered APIs, not commuting shared state"
-                    ),
-                ));
-            }
-        }
-    }
+    let mut out = scan_idents(file, Code::Ja12, |w, _| {
+        (w.starts_with("Atomic") && w.len() > "Atomic".len()).then(|| {
+            format!(
+                "`{w}` outside crates/par: aggregate through jact-par's chunk-index-ordered APIs, not commuting shared state"
+            )
+        })
+    });
     for f in &ast.fns {
         for call in &f.calls {
             let Some(name) = call.path.last() else { continue };
@@ -944,24 +655,21 @@ pub fn ja12_parallel_determinism(file: &SourceFile, ast: &FileAst) -> Vec<Diagno
             }
             let (s, e) = call.args;
             for &ti in &file.meaningful {
-                let t = &toks[ti];
+                let t = &file.tokens[ti];
                 if t.start < s || t.start >= e || t.kind != TokenKind::Ident {
                     continue;
                 }
-                let w = t.text(text);
-                if shared_mutable_name(w)
-                    && !file.in_test_region(t.start)
-                    && !suppressed(&file.suppressions, Code::Ja12, t.line)
-                {
-                    out.push(Diagnostic::new(
+                let w = t.text(&file.text);
+                if shared_mutable_name(w) && !file.in_test_region(t.start) {
+                    file.report(
+                        &mut out,
                         Code::Ja12,
-                        &file.rel_path,
                         t.line,
                         t.col,
                         format!(
                             "`{w}` captured by a `{name}` closure: chunk bodies must not mutate shared state; aggregate via the ordered return values"
                         ),
-                    ));
+                    );
                 }
             }
         }
@@ -1016,35 +724,16 @@ pub fn ja13_obs_schema(file: &SourceFile, ast: &FileAst, schema: &ObsSchema) -> 
                 continue;
             }
             let name = call.path.last().map(String::as_str).unwrap_or("");
-            match &call.first_str {
-                Some(lit) if schema.matches_literal(lit) => {}
-                Some(lit) => {
-                    if !suppressed(&file.suppressions, Code::Ja13, call.line) {
-                        out.push(Diagnostic::new(
-                            Code::Ja13,
-                            &file.rel_path,
-                            call.line,
-                            call.col,
-                            format!(
-                                "obs name `{lit}` (via `{name}`) is not registered in crates/obs/obs_schema.txt"
-                            ),
-                        ));
-                    }
-                }
-                None => {
-                    if !suppressed(&file.suppressions, Code::Ja13, call.line) {
-                        out.push(Diagnostic::new(
-                            Code::Ja13,
-                            &file.rel_path,
-                            call.line,
-                            call.col,
-                            format!(
-                                "obs `{name}` with a non-literal name: names must be registry literals so the schema stays checkable"
-                            ),
-                        ));
-                    }
-                }
-            }
+            let message = match &call.first_str {
+                Some(lit) if schema.matches_literal(lit) => continue,
+                Some(lit) => format!(
+                    "obs name `{lit}` (via `{name}`) is not registered in crates/obs/obs_schema.txt"
+                ),
+                None => format!(
+                    "obs `{name}` with a non-literal name: names must be registry literals so the schema stays checkable"
+                ),
+            };
+            file.report(&mut out, Code::Ja13, call.line, call.col, message);
         }
     }
     out
@@ -1138,29 +827,23 @@ fn alloc_sites(file: &SourceFile, f: &crate::parser::FnItem) -> Vec<AllocSite> {
     let Some((lo, hi)) = f.body else {
         return Vec::new();
     };
-    let toks = &file.tokens;
-    let mean = &file.meaningful;
-    let text = file.text.as_str();
-    let tok_text = |k: usize| mean.get(k).map(|&j| toks[j].text(text));
     let mut out = Vec::new();
-    for k in 0..mean.len() {
-        let t = &toks[mean[k]];
+    for (k, &ti) in file.meaningful.iter().enumerate() {
+        let t = &file.tokens[ti];
         if t.start < lo || t.start >= hi || t.kind != TokenKind::Ident {
             continue;
         }
-        let what = match t.text(text) {
-            "vec" if tok_text(k + 1) == Some("!") => Some("`vec!`".to_string()),
+        let what = match t.text(&file.text) {
+            "vec" if file.word(k + 1) == "!" => Some("`vec!`".to_string()),
             owner @ ("Vec" | "String" | "Box")
-                if tok_text(k + 1) == Some(":") && tok_text(k + 2) == Some(":") =>
+                if file.word(k + 1) == ":" && file.word(k + 2) == ":" =>
             {
-                match tok_text(k + 3) {
-                    Some(m @ ("new" | "with_capacity")) => Some(format!("`{owner}::{m}`")),
+                match file.word(k + 3) {
+                    m @ ("new" | "with_capacity") => Some(format!("`{owner}::{m}`")),
                     _ => None,
                 }
             }
-            "to_vec" if k > 0 && tok_text(k - 1) == Some(".") => {
-                Some("`.to_vec()`".to_string())
-            }
+            "to_vec" if k > 0 && file.word(k - 1) == "." => Some("`.to_vec()`".to_string()),
             _ => None,
         };
         if let Some(what) = what {
@@ -1223,13 +906,12 @@ pub fn ja14_hot_path_alloc(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
             continue;
         }
         for s in alloc_sites(file, f) {
-            if file.in_test_region(s.start) || suppressed(&file.suppressions, Code::Ja14, s.line)
-            {
+            if file.in_test_region(s.start) {
                 continue;
             }
-            out.push(Diagnostic::new(
+            file.report(
+                &mut out,
                 Code::Ja14,
-                &file.rel_path,
                 s.line,
                 s.col,
                 format!(
@@ -1238,7 +920,7 @@ pub fn ja14_hot_path_alloc(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
                     graph.qualified_name(id),
                     root_name
                 ),
-            ));
+            );
         }
     }
     out
@@ -1295,27 +977,6 @@ mod tests {
     fn ja05_requires_forbid() {
         assert_eq!(ja05_forbid_unsafe(&file("jact-x", "//! doc\n")).len(), 1);
         assert!(ja05_forbid_unsafe(&file("jact-x", "#![forbid(unsafe_code)]\n")).is_empty());
-    }
-
-    #[test]
-    fn ja06_requires_docs_on_pub_items() {
-        let bad = "//! mod doc\npub fn f() {}\n";
-        let d = ja06_doc_coverage(&file("jact-codec", bad));
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("fn"));
-        let ok = "//! mod doc\n/// Documented.\npub fn f() {}\npub use std::mem;\n";
-        assert!(ja06_doc_coverage(&file("jact-codec", ok)).is_empty());
-        assert!(ja06_doc_coverage(&file("jact-dnn", bad)).is_empty());
-    }
-
-    #[test]
-    fn ja06_handles_qualifiers_and_attributes() {
-        let src = "//! d\n/// Documented.\n#[inline]\npub const fn f() -> u8 { 1 }\n/// C.\npub const X: u8 = 1;\n";
-        assert!(ja06_doc_coverage(&file("jact-codec", src)).is_empty());
-        let undoc = "//! d\npub const X: u8 = 1;\n";
-        let d = ja06_doc_coverage(&file("jact-codec", undoc));
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("const"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::diag::{Code, Diagnostic};
 use crate::source::Loc;
-use jact_bench::json::Json;
+use jact_obs::json::Json;
 
 /// Outcome of analyzing a workspace.
 pub struct Analysis {

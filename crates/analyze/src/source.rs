@@ -1,7 +1,7 @@
 //! A lexed source file plus the derived facts lint passes share:
 //! `#[cfg(test)]`/`#[test]`/`mod tests` regions and inline suppressions.
 
-use crate::diag::{parse_suppression, Suppression};
+use crate::diag::{parse_suppression, suppressed, Code, Diagnostic, Suppression};
 use crate::lexer::{lex, Token, TokenKind};
 
 /// One Rust source file, lexed and annotated.
@@ -47,6 +47,34 @@ impl SourceFile {
     /// `true` if byte offset `pos` lies inside test-only code.
     pub fn in_test_region(&self, pos: usize) -> bool {
         self.test_regions.iter().any(|&(s, e)| pos >= s && pos < e)
+    }
+
+    /// Text of the `mi`-th meaningful token, `""` past either end.
+    pub fn word(&self, mi: usize) -> &str {
+        self.meaningful
+            .get(mi)
+            .map_or("", |&ti| self.tokens[ti].text(&self.text))
+    }
+
+    /// `true` when an `allow(<code>)` comment on `line` or the line
+    /// above silences `code` there.
+    pub fn is_suppressed(&self, code: Code, line: u32) -> bool {
+        suppressed(&self.suppressions, code, line)
+    }
+
+    /// The one emit point for source-level lints: pushes the finding at
+    /// `line:col` of this file unless it [`is_suppressed`](Self::is_suppressed).
+    pub fn report(
+        &self,
+        out: &mut Vec<Diagnostic>,
+        code: Code,
+        line: u32,
+        col: u32,
+        message: impl Into<String>,
+    ) {
+        if !self.is_suppressed(code, line) {
+            out.push(Diagnostic::new(code, &self.rel_path, line, col, message));
+        }
     }
 
     /// Classifies every line as test (inside a test region, whatever it

@@ -226,43 +226,6 @@ fn ja05_quiet_on_fixed_and_allowed() {
     assert!(passes::ja05_forbid_unsafe(&allowed).is_empty());
 }
 
-// ---------------------------------------------------------------- JA06
-
-#[test]
-fn ja06_fires_on_undocumented_pub_item_and_missing_module_doc() {
-    let f = src(
-        "crates/codec/src/x.rs",
-        "jact-codec",
-        "use std::mem;\n\npub fn f() {}\n",
-    );
-    let diags = passes::ja06_doc_coverage(&f);
-    assert_eq!(diags.len(), 2);
-    assert_eq!(diags[0].code, Code::Ja06);
-    assert_eq!(diags[0].line, 1, "missing //! module doc anchors at 1:1");
-    assert_eq!(diags[1].line, 3, "undocumented pub fn anchors at its line");
-}
-
-#[test]
-fn ja06_quiet_on_documented_allowed_and_uncovered_crates() {
-    let fixed = src(
-        "crates/codec/src/x.rs",
-        "jact-codec",
-        "//! Module doc.\n\n/// Does f things.\npub fn f() {}\npub use std::mem;\npub(crate) fn g() {}\n",
-    );
-    assert!(passes::ja06_doc_coverage(&fixed).is_empty());
-
-    let allowed = src(
-        "crates/codec/src/x.rs",
-        "jact-codec",
-        "//! Module doc.\n\n// jact-analyze: allow(JA06)\npub fn f() {}\n",
-    );
-    assert!(passes::ja06_doc_coverage(&allowed).is_empty());
-
-    // Crates outside DOC_COVERED_CRATES are not held to the rule.
-    let other = src("crates/gpusim/src/x.rs", "jact-gpusim", "pub fn f() {}\n");
-    assert!(passes::ja06_doc_coverage(&other).is_empty());
-}
-
 // ---------------------------------------------------------------- JA07
 
 #[test]
@@ -514,6 +477,22 @@ fn ja10_quiet_on_fixed_non_hot_and_test_code() {
         "//! d\npub fn entry() {\n    helper()\n}\nfn helper() {\n    // jact-analyze: allow(JA10)\n    panic!(\"builder misuse\")\n}\n",
     );
     assert!(graph_diags(std::slice::from_ref(&allowed)).is_empty());
+}
+
+#[test]
+fn ja03_catches_trait_impl_methods_that_ja10_does_not_root() {
+    // Trait-impl methods carry no `pub`, so JA10 never roots at them and
+    // nothing in this file calls `is_lossless`; only the token-level
+    // JA03 sees the panic form.  This is why both lints stay.
+    let f = src(
+        "crates/codec/src/x.rs",
+        "jact-codec",
+        "//! d\nstruct RawCodec;\nimpl Codec for RawCodec {\n    fn is_lossless(&self) -> bool {\n        None::<bool>.unwrap()\n    }\n}\n",
+    );
+    let diags = passes::ja03_no_panics(&f);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].code, diags[0].line), (Code::Ja03, 5));
+    assert!(graph_diags(std::slice::from_ref(&f)).is_empty());
 }
 
 // ---------------------------------------------------------------- JA11

@@ -479,12 +479,5 @@ fn main() {
                     .collect(),
             ),
         );
-    if let Ok(dir) = std::env::var("JACT_BENCH_JSON") {
-        let dir = if dir == "1" { ".".to_string() } else { dir };
-        let path = format!("{dir}/BENCH_alloc.json");
-        match std::fs::write(&path, doc.to_pretty_string()) {
-            Ok(()) => eprintln!("alloc_bench: wrote {path}"),
-            Err(e) => eprintln!("alloc_bench: cannot write {path}: {e}"),
-        }
-    }
+    jact_bench::out::archive_bench_json("alloc", &doc);
 }

@@ -138,39 +138,32 @@ fn main() {
     }
     tables::print_table(&["codec / stage", "bytes in", "bytes out", "ratio"], &rows);
 
-    if let Ok(dir) = std::env::var("JACT_BENCH_JSON") {
-        let dir = if dir == "1" { ".".to_string() } else { dir };
-        let codecs: Vec<Json> = profiles
-            .iter()
-            .map(|p| {
-                let stages: Vec<Json> = p
-                    .stages
-                    .iter()
-                    .map(|(stage, si, so)| {
-                        Json::obj()
-                            .field("stage", stage.as_str())
-                            .field("bytes_in", *si as f64)
-                            .field("bytes_out", *so as f64)
-                            .field("ratio", ratio(*si, *so))
-                    })
-                    .collect();
-                Json::obj()
-                    .field("codec", p.name.as_str())
-                    .field("bytes_in", p.bytes_in as f64)
-                    .field("bytes_out", p.bytes_out as f64)
-                    .field("ratio", ratio(p.bytes_in, p.bytes_out))
-                    .field("stages", Json::Arr(stages))
-            })
-            .collect();
-        let doc = Json::obj()
-            .field("schema", "jact-obs/v1")
-            .field("kind", "stage-profile")
-            .field("input_bytes", (x.len() * 4) as f64)
-            .field("codecs", Json::Arr(codecs));
-        let path = format!("{dir}/BENCH_obs.json");
-        match std::fs::write(&path, doc.to_pretty_string()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    let codecs: Vec<Json> = profiles
+        .iter()
+        .map(|p| {
+            let stages: Vec<Json> = p
+                .stages
+                .iter()
+                .map(|(stage, si, so)| {
+                    Json::obj()
+                        .field("stage", stage.as_str())
+                        .field("bytes_in", *si as f64)
+                        .field("bytes_out", *so as f64)
+                        .field("ratio", ratio(*si, *so))
+                })
+                .collect();
+            Json::obj()
+                .field("codec", p.name.as_str())
+                .field("bytes_in", p.bytes_in as f64)
+                .field("bytes_out", p.bytes_out as f64)
+                .field("ratio", ratio(p.bytes_in, p.bytes_out))
+                .field("stages", Json::Arr(stages))
+        })
+        .collect();
+    let doc = Json::obj()
+        .field("schema", "jact-obs/v1")
+        .field("kind", "stage-profile")
+        .field("input_bytes", (x.len() * 4) as f64)
+        .field("codecs", Json::Arr(codecs));
+    jact_bench::out::archive_bench_json("obs", &doc);
 }

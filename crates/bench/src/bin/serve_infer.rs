@@ -161,13 +161,6 @@ fn main() {
         .field("model", MODEL)
         .field("matrix", Json::Arr(points))
         .field("split_inference", Json::Arr(splits));
-    let text = doc.to_pretty_string();
-    println!("{text}");
-    if let Ok(dir) = std::env::var("JACT_BENCH_JSON") {
-        let path = format!("{dir}/BENCH_infer.json");
-        match std::fs::write(&path, format!("{text}\n")) {
-            Ok(()) => eprintln!("serve_infer: wrote {path}"),
-            Err(e) => eprintln!("serve_infer: cannot write {path}: {e}"),
-        }
-    }
+    println!("{}", doc.to_pretty_string());
+    jact_bench::out::archive_bench_json("infer", &doc);
 }

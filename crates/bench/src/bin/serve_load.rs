@@ -130,13 +130,6 @@ fn main() {
         .field("fault_model", "mixed")
         .field("fault_rate", FAULT_RATE)
         .field("scales", Json::Arr(points));
-    let text = doc.to_pretty_string();
-    println!("{text}");
-    if let Ok(dir) = std::env::var("JACT_BENCH_JSON") {
-        let path = format!("{dir}/BENCH_serve.json");
-        match std::fs::write(&path, format!("{text}\n")) {
-            Ok(()) => eprintln!("serve_load: wrote {path}"),
-            Err(e) => eprintln!("serve_load: cannot write {path}: {e}"),
-        }
-    }
+    println!("{}", doc.to_pretty_string());
+    jact_bench::out::archive_bench_json("serve", &doc);
 }

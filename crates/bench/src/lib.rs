@@ -13,13 +13,13 @@
 //!   same row/series format the paper reports;
 //! * [`out`] — the stdout + `out/<name>.txt` report tee behind the
 //!   capture files EXPERIMENTS.md cites (`JACT_OUT_DIR` overrides the
-//!   directory);
+//!   directory), and the one `BENCH_<name>.json` archive step the bench
+//!   targets and tool bins share (`JACT_BENCH_JSON=<dir>`);
 //! * [`timing`] — the in-repo benchmark harness (warmup + calibrated
 //!   samples + median/p95) behind the `benches/` targets, kept
 //!   dependency-free by the hermetic-build policy;
 //! * [`json`] — the hand-rolled JSON writer for `BENCH_*.json` result
-//!   stores (set `JACT_BENCH_JSON=<dir>` when running a bench target);
-//!   re-exported from `jact-obs`, where it also backs the `jact-obs/v1`
+//!   stores; re-exported from `jact-obs`, where it also backs the `jact-obs/v1`
 //!   trace exporter;
 //! * [`obs_corpus`] — the pinned input tensor and per-codec trace
 //!   recipe behind the golden-trace corpus in `tests/golden/`.

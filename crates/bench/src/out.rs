@@ -11,7 +11,25 @@
 use std::fmt::Display;
 use std::path::PathBuf;
 
+use crate::json::Json;
 use crate::tables::{render_header, render_table};
+
+/// Archives `doc` as `BENCH_<name>.json` in the directory the
+/// `JACT_BENCH_JSON` environment variable names (`1` means the current
+/// directory); does nothing when it is unset.  A failed write warns on
+/// stderr and the caller carries on: the archive is a by-product of a
+/// run whose results were already printed.
+pub fn archive_bench_json(name: &str, doc: &Json) {
+    let Ok(dir) = std::env::var("JACT_BENCH_JSON") else {
+        return;
+    };
+    let dir = if dir == "1" { ".".to_string() } else { dir };
+    let path = format!("{dir}/BENCH_{name}.json");
+    match std::fs::write(&path, doc.to_pretty_string()) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
+    }
+}
 
 /// Resolves the experiment output directory and creates it.
 ///

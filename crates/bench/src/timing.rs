@@ -146,10 +146,6 @@ impl Harness {
     /// `JACT_BENCH_JSON` names an output directory.
     pub fn finish(self) {
         eprintln!("\n{} benchmarks complete ({} records)", self.name, self.records.len());
-        let Ok(dir) = std::env::var("JACT_BENCH_JSON") else {
-            return;
-        };
-        let dir = if dir == "1" { ".".to_string() } else { dir };
         let json = Json::obj()
             .field("harness", self.name.as_str())
             .field("sample_size", self.config.sample_size)
@@ -157,11 +153,7 @@ impl Harness {
                 "results",
                 Json::Arr(self.records.iter().map(Record::to_json).collect()),
             );
-        let path = format!("{dir}/BENCH_{}.json", self.name);
-        match std::fs::write(&path, json.to_pretty_string()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        crate::out::archive_bench_json(&self.name, &json);
     }
 }
 

@@ -49,6 +49,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod bits;
 pub mod block;

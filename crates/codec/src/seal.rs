@@ -75,28 +75,62 @@ impl Layout {
 pub enum FrameError {
     /// The buffer does not start with the layout's magic.
     BadMagic,
-    /// The version field (`got`) is not the layout's.
-    BadVersion { got: u16 },
-    /// The tag (`got`) is outside the layout's range.
-    BadTag { got: u8 },
+    /// The version field is not the layout's.
+    BadVersion {
+        /// The version the buffer carries.
+        got: u16,
+    },
+    /// The tag is outside the layout's range.
+    BadTag {
+        /// The tag the buffer carries.
+        got: u8,
+    },
     /// The reserved byte is non-zero.
     BadReserved,
-    /// The length field at `offset` does not fit `usize` or overflows
-    /// the container size.
-    BadLength { offset: usize },
-    /// A read of `needed` bytes at `offset` found only `available`.
-    Truncated { offset: usize, needed: usize, available: usize },
-    /// The buffer holds `have` bytes of a container (or, on a stream, of
-    /// a header) that needs `want`.
-    Incomplete { have: usize, want: usize },
-    /// `extra` bytes follow the container, which ends at `offset`.
-    Trailing { offset: usize, extra: usize },
-    /// The CRC trailer announces `expected`; the contents hash to
-    /// `actual`.
-    Checksum { expected: u32, actual: u32 },
-    /// A stream announced a container of `len` bytes, above the
-    /// assembler's cap `max`.
-    Oversize { len: usize, max: usize },
+    /// A length field does not fit `usize` or overflows the container
+    /// size.
+    BadLength {
+        /// Byte offset of the length field.
+        offset: usize,
+    },
+    /// A read ran past the end of the buffer.
+    Truncated {
+        /// Byte offset the read started at.
+        offset: usize,
+        /// Bytes the read asked for.
+        needed: usize,
+        /// Bytes left at `offset`.
+        available: usize,
+    },
+    /// The buffer holds only part of a container (or, on a stream, of a
+    /// header).
+    Incomplete {
+        /// Bytes present.
+        have: usize,
+        /// Bytes the container (or header) needs.
+        want: usize,
+    },
+    /// Bytes follow the container.
+    Trailing {
+        /// Byte offset the container ends at.
+        offset: usize,
+        /// Bytes after that offset.
+        extra: usize,
+    },
+    /// The CRC trailer does not match the contents.
+    Checksum {
+        /// The CRC the trailer announces.
+        expected: u32,
+        /// The CRC the contents hash to.
+        actual: u32,
+    },
+    /// A stream announced a container above the assembler's cap.
+    Oversize {
+        /// Announced container size in bytes.
+        len: usize,
+        /// The assembler's cap in bytes.
+        max: usize,
+    },
 }
 
 // ---------------------------------------------------------------------

@@ -46,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod convergence;
 pub mod dqt_opt;

@@ -37,6 +37,7 @@
 //! `tests/infer_conformance.rs` pins both properties.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod batcher;
 pub mod config;

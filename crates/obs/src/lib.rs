@@ -34,6 +34,7 @@
 //! depending on the harness).
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod json;
 pub mod schema;

@@ -37,6 +37,7 @@
 //! reproducible at any thread count.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod cache;
 pub mod clock;

@@ -30,13 +30,11 @@ echo "== ledger smoke (the benchmark's own tests: all four workloads with their 
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 git diff --exit-code --stat -- ledger/Cargo.lock
 
-echo "== jact-analyze (deny-new vs analyze-baseline.txt, archives BENCH_analyze.json) =="
+echo "== jact-analyze (exits non-zero on any finding, archives BENCH_analyze.json) =="
 # The jact-analyze/v1 JSON report (per-code diagnostic counts, per-crate
-# loc table) is archived next to the BENCH_*.json stores; --deny-new gates
-# on regressions against the committed baseline so pre-existing, recorded
-# debt never blocks CI.  The CLI prints the workspace loc total first.
-cargo run -q -p jact-analyze --release --offline -- \
-  --baseline analyze-baseline.txt --deny-new --report "$PWD/BENCH_analyze.json"
+# loc table) is archived next to the BENCH_*.json stores.  The CLI prints
+# the workspace loc total first.
+cargo run -q -p jact-analyze --release --offline -- --report "$PWD/BENCH_analyze.json"
 
 echo "== fault_sweep (smoke fault rates over the offload wire path) =="
 JACT_QUICK=1 cargo run -q -p jact-bench --release --offline --bin fault_sweep

@@ -1,11 +1,11 @@
 //! Hermetic-build policy gate (tier-1).
 //!
-//! Thin shim over the analyzer's JA02 pass: every dependency in every
-//! manifest must be an in-workspace path reference, `workspace = true`
-//! entries must resolve to path entries in the root table, and the
-//! lockfile must pin no registry or git source.  The full rule set lives
-//! in `jact_analyze::passes::ja02_hermetic`; this test keeps the policy
-//! enforced under plain `cargo test` even when the CLI is not run.
+//! The analyzer's JA02 findings over the workspace: every dependency in
+//! every manifest must be an in-workspace path reference, `workspace =
+//! true` entries must resolve to path entries in the root table, and the
+//! lockfile must pin no registry or git source.  The rule set lives in
+//! `jact_analyze::passes::ja02_hermetic`; this test names the policy in
+//! the tier-1 output on its own line.
 
 use std::path::{Path, PathBuf};
 
@@ -22,7 +22,12 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn workspace_is_hermetic() {
     let root = workspace_root();
-    let diags = jact_analyze::check_hermetic(&root).expect("workspace manifests are readable");
+    let analysis = jact_analyze::analyze_workspace(&root).expect("workspace is readable");
+    let diags: Vec<_> = analysis
+        .violations
+        .iter()
+        .filter(|d| d.code == jact_analyze::Code::Ja02)
+        .collect();
     assert!(
         diags.is_empty(),
         "hermetic-build policy violated (JA02):\n{}",

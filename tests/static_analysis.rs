@@ -6,7 +6,6 @@
 
 use std::path::{Path, PathBuf};
 
-use jact_analyze::baseline::Baseline;
 use jact_analyze::Code;
 
 fn workspace_root() -> PathBuf {
@@ -85,47 +84,27 @@ fn report_counts_cover_all_codes() {
 }
 
 #[test]
-fn committed_baseline_is_empty_and_workspace_has_no_regressions() {
-    // `scripts/verify.sh` gates with `--baseline analyze-baseline.txt
-    // --deny-new`; this is the in-process mirror of that gate.  The
-    // committed baseline records zero debt (every pre-existing finding
-    // was fixed when JA09-JA13 landed), so any finding at all is a
-    // regression.
+fn doc_covered_crate_roots_deny_missing_docs() {
+    // rustc holds the doc-coverage gate the retired JA06 lint held: a
+    // `pub` item without a doc comment fails `cargo build` in these
+    // crates.  Deleting the attribute would switch the gate off silently.
     let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("analyze-baseline.txt"))
-        .expect("analyze-baseline.txt is committed at the workspace root");
-    let baseline = Baseline::parse(&text);
-    assert!(
-        baseline.is_empty(),
-        "the committed baseline records debt; fix the findings instead of recording them"
-    );
-    let analysis = jact_analyze::analyze_workspace(&root).expect("workspace is readable");
-    let regressions = baseline.regressions(&analysis.violations);
-    assert!(
-        regressions.is_empty(),
-        "deny-new would fail: {} regression(s), first: {} in {}",
-        regressions.len(),
-        regressions[0].code,
-        regressions[0].path
-    );
-}
-
-#[test]
-fn baseline_roundtrips_through_the_committed_format() {
-    // The workspace is clean, so also prove the diff mode on synthetic
-    // diagnostics: recorded debt passes, new debt fails, after a text
-    // round trip through the committed format.
-    let analysis =
-        jact_analyze::analyze_workspace(&workspace_root()).expect("workspace is readable");
-    let recorded = Baseline::parse(&Baseline::from_diagnostics(&analysis.violations).to_text());
-    assert!(recorded.regressions(&analysis.violations).is_empty());
+    for krate in ["codec", "core", "obs", "serve", "infer"] {
+        let lib = root.join("crates").join(krate).join("src/lib.rs");
+        let text = std::fs::read_to_string(&lib).expect("crate root readable");
+        assert!(
+            text.lines().any(|l| l == "#![deny(missing_docs)]"),
+            "{} lacks #![deny(missing_docs)]",
+            lib.display()
+        );
+    }
 }
 
 /// `loc_total.code` — non-test code lines under `crates/*/src` — as of
 /// the last PR that moved it.  A ratchet: lower it whenever code goes
 /// away; a PR that adds a subsystem must say what it replaces (ROADMAP
 /// aim 2), and raising this number is where it says so.
-const LOC_CODE_CEILING: usize = 18_279;
+const LOC_CODE_CEILING: usize = 17_825;
 
 #[test]
 fn non_test_code_stays_under_the_committed_ceiling() {
