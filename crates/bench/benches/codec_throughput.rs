@@ -7,13 +7,13 @@
 //! * `codec_stages`   — staged per-primitive costs on a shared activation,
 //!   including the `quant_div` vs `quant_sh` pair Sec. III-F predicts
 //!   (SH must not be slower than DIV — `bench_check` gates on this);
-//! * `fused_stages`   — the streaming tile pipeline's stages pinned to one
-//!   worker thread, in activation (f32) bytes per second;
+//! * `fused_stages`   — the streaming tile pipeline's stages, in
+//!   activation (f32) bytes per second;
 //! * `wire_stages`    — checksum, serialize and deserialize of one
 //!   uncompressed 2.5 MiB frame, in frame bytes per second (`bench_check`
 //!   holds `crc32` to a 1 GiB/s floor);
 //! * `dct_ablation`   — matrix-form vs factored fast DCT;
-//! * `threads_*`      — whole-codec compress/decompress thread scaling.
+//! * `whole_codec`    — whole-codec compress/decompress of one activation.
 
 use jact_bench::timing::{black_box, Harness};
 use jact_codec::block::BlockLayout;
@@ -121,44 +121,38 @@ fn main() {
     g.bench_function("csr_compress", || Csr::compress_default(black_box(enc.values())));
     g.finish();
 
-    // Streaming tile pipeline stages, pinned to one worker thread.
-    // Throughput is in activation (f32) bytes — the unit the CDU must
-    // sustain against the PCIe link (Sec. III-G / Fig. 21) — over the
-    // same tensor as `codec_stages`.  `bench_check` reports each row
-    // against the 2 GiB/s single-thread floor.
+    // Streaming tile pipeline stages.  Throughput is in activation (f32)
+    // bytes — the unit the CDU must sustain against the PCIe link
+    // (Sec. III-G / Fig. 21) — over the same tensor as `codec_stages`.
+    // `bench_check` reports each row against the 2 GiB/s floor.
     let num_blocks = layout.num_blocks();
     let mut f = h.group("fused_stages");
     f.throughput_bytes(bytes);
-    // One `with_threads` region around the whole group: the pin applies to
-    // every measurement without paying the pool-reconfiguration cost
-    // inside each timed iteration.
-    jact_par::with_threads(1, || {
-        f.bench_function("gather", || {
-            (0..num_blocks)
-                .map(|bi| layout.gather_block(black_box(enc.values()), bi))
-                .collect::<Vec<_>>()
-        });
-        f.bench_function("dct", || {
-            blocks
-                .iter()
-                .map(|blk| dct2d_i8(black_box(blk)))
-                .collect::<Vec<_>>()
-        });
-        f.bench_function("quant_div", || {
-            coefs
-                .iter()
-                .map(|cf| tables_div.quantize_block(black_box(cf)))
-                .collect::<Vec<_>>()
-        });
-        f.bench_function("quant_sh", || {
-            coefs
-                .iter()
-                .map(|cf| tables_sh.quantize_block(black_box(cf)))
-                .collect::<Vec<_>>()
-        });
-        f.bench_function("zvc_pack", || {
-            tile::encode_zvc(black_box(&|bi| q[bi]), num_blocks)
-        });
+    f.bench_function("gather", || {
+        (0..num_blocks)
+            .map(|bi| layout.gather_block(black_box(enc.values()), bi))
+            .collect::<Vec<_>>()
+    });
+    f.bench_function("dct", || {
+        blocks
+            .iter()
+            .map(|blk| dct2d_i8(black_box(blk)))
+            .collect::<Vec<_>>()
+    });
+    f.bench_function("quant_div", || {
+        coefs
+            .iter()
+            .map(|cf| tables_div.quantize_block(black_box(cf)))
+            .collect::<Vec<_>>()
+    });
+    f.bench_function("quant_sh", || {
+        coefs
+            .iter()
+            .map(|cf| tables_sh.quantize_block(black_box(cf)))
+            .collect::<Vec<_>>()
+    });
+    f.bench_function("zvc_pack", || {
+        tile::encode_zvc(black_box(&|bi| q[bi]), num_blocks)
     });
     f.finish();
 
@@ -205,50 +199,30 @@ fn main() {
     });
     a.finish();
 
-    // Thread-scaling axis: whole-codec compress/decompress throughput at
-    // 1/2/4/max worker threads, pinned per-measurement with
-    // `jact_par::with_threads` (outputs are bitwise identical across the
-    // axis; only the wall-clock changes).
+    // Whole-codec compress/decompress of one activation.
     let dense = activation(8, 16, 32);
     let mut sparse = dense.clone();
     sparse.map_in_place(|v| if v > 0.0 { v } else { 0.0 });
-    let bytes = (dense.len() * 4) as u64;
-
-    let max_threads = jact_par::Pool::global().threads();
-    let axis: Vec<(String, usize)> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| (t.to_string(), t))
-        .chain(std::iter::once(("max".to_string(), max_threads)))
-        .collect();
-
-    for (label, threads) in &axis {
-        let mut g = h.group(format!("threads_{label}"));
-        g.throughput_bytes(bytes);
-
-        macro_rules! scaling {
-            ($name:literal, $codec:expr, $input:expr) => {
-                let codec = $codec;
-                let input = $input;
-                g.bench_function(concat!($name, "/compress"), || {
-                    jact_par::with_threads(*threads, || codec.compress(black_box(input)))
-                });
-                let compressed = codec.compress(input);
-                g.bench_function(concat!($name, "/decompress"), || {
-                    jact_par::with_threads(*threads, || {
-                        codec
-                            .decompress(black_box(&compressed))
-                            .expect("payload produced by the same codec")
-                    })
-                });
-            };
-        }
-
-        scaling!("sfpr", SfprCodec::new(), &dense);
-        scaling!("zvc_f32", ZvcF32Codec, &sparse);
-        scaling!("jpeg_base", JpegBaseCodec::new(Dqt::jpeg_quality(80)), &dense);
-        scaling!("jpeg_act", JpegActCodec::new(Dqt::opt_h()), &dense);
-        g.finish();
+    let mut g = h.group("whole_codec");
+    g.throughput_bytes((dense.len() * 4) as u64);
+    macro_rules! whole {
+        ($name:literal, $codec:expr, $input:expr) => {
+            let codec = $codec;
+            let input = $input;
+            g.bench_function(concat!($name, "/compress"), || codec.compress(black_box(input)));
+            let compressed = codec.compress(input);
+            g.bench_function(concat!($name, "/decompress"), || {
+                codec
+                    .decompress(black_box(&compressed))
+                    .expect("payload produced by the same codec")
+            });
+        };
     }
+    whole!("sfpr", SfprCodec::new(), &dense);
+    whole!("zvc_f32", ZvcF32Codec, &sparse);
+    whole!("jpeg_base", JpegBaseCodec::new(Dqt::jpeg_quality(80)), &dense);
+    whole!("jpeg_act", JpegActCodec::new(Dqt::opt_h()), &dense);
+    g.finish();
 
     h.finish();
 }

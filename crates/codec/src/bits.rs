@@ -91,35 +91,6 @@ impl BitWriter {
         }
         self.bytes
     }
-
-    /// Appends another writer's bit stream at bit granularity: the result
-    /// is exactly as if every bit of `other` had been written to `self`
-    /// directly.  This is what lets the RLE coder encode chunks of blocks
-    /// in parallel and still emit a byte stream identical to sequential
-    /// encoding.
-    /// `other`'s spent backing storage is recycled to the buffer pool
-    /// (except when moved wholesale into `self`).
-    pub fn append(&mut self, other: BitWriter) {
-        let BitWriter { bytes, nbits, acc } = other;
-        if self.nbits == 0 {
-            // Byte-aligned: splice the full bytes in one move.
-            if self.bytes.is_empty() {
-                let spent = std::mem::replace(&mut self.bytes, bytes);
-                jact_pool::give(spent);
-            } else {
-                self.bytes.extend_from_slice(&bytes);
-                jact_pool::give(bytes);
-            }
-        } else {
-            for &b in &bytes {
-                self.write_bits(b as u32, 8);
-            }
-            jact_pool::give(bytes);
-        }
-        if nbits > 0 {
-            self.write_bits(acc as u32, nbits);
-        }
-    }
 }
 
 /// Reads bits MSB-first from a byte slice.
@@ -203,36 +174,6 @@ mod tests {
     #[test]
     fn empty_writer_produces_no_bytes() {
         assert!(BitWriter::new().finish().is_empty());
-    }
-
-    #[test]
-    fn append_matches_sequential_writes_at_any_split() {
-        // Write a fixed field sequence either into one writer or split
-        // across two writers joined by `append`; the byte streams must be
-        // identical for every split point (including unaligned ones).
-        let fields: Vec<(u32, u32)> = (0..40u64)
-            .map(|i| {
-                let n = (i % 13 + 1) as u32;
-                (((i * 2654435761) % (1u64 << n)) as u32, n)
-            })
-            .collect();
-        let mut all = BitWriter::new();
-        for &(v, n) in &fields {
-            all.write_bits(v, n);
-        }
-        let want = all.finish();
-        for split in 0..=fields.len() {
-            let mut a = BitWriter::new();
-            for &(v, n) in &fields[..split] {
-                a.write_bits(v, n);
-            }
-            let mut b = BitWriter::new();
-            for &(v, n) in &fields[split..] {
-                b.write_bits(v, n);
-            }
-            a.append(b);
-            assert_eq!(a.finish(), want, "split={split}");
-        }
     }
 
     #[test]

@@ -14,12 +14,7 @@
 //! storage-overhead comparison (6.4 % vs 3.0 % on ResNet50) can be
 //! reproduced.
 
-use jact_par::Pool;
 use jact_tensor::Shape;
-
-/// Target 8×8 blocks per parallel chunk (≈32 KiB of i8 data).  Input-derived
-/// only, so gather/scatter output is identical for any thread count.
-const BLOCKS_PER_CHUNK: usize = 512;
 
 /// How the activation is padded to 8×8 block granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,13 +159,9 @@ impl BlockLayout {
     /// Panics if `values.len() != shape.len()`.
     pub fn to_blocks(&self, values: &[i8]) -> Vec<[i8; 64]> {
         assert_eq!(values.len(), self.shape.len(), "value plane size mismatch");
-        let mut blocks = vec![[0i8; 64]; self.num_blocks()];
-        Pool::current().par_chunks_mut(&mut blocks, BLOCKS_PER_CHUNK, |_, off, chunk| {
-            for (k, block) in chunk.iter_mut().enumerate() {
-                *block = self.gather_block(values, off + k);
-            }
-        });
-        blocks
+        (0..self.num_blocks())
+            .map(|bi| self.gather_block(values, bi))
+            .collect()
     }
 
     /// Scatters 8×8 blocks back into a value plane, dropping padding.
@@ -181,24 +172,19 @@ impl BlockLayout {
     pub fn from_blocks(&self, blocks: &[[i8; 64]]) -> Vec<i8> {
         assert_eq!(blocks.len(), self.num_blocks(), "block count mismatch");
         let bw = self.padded_cols / 8;
-        // One stripe = one row of blocks = 8 padded matrix rows; stripes
-        // are contiguous in the padded buffer, so chunking by stripes gives
-        // each worker a disjoint write range.
-        let stripe = 8 * self.padded_cols;
-        let stripes_per_chunk = (BLOCKS_PER_CHUNK / bw.max(1)).max(1);
+        // One stripe = one row of blocks = 8 padded matrix rows (an empty
+        // matrix has zero-width stripes and nothing to scatter).
+        let stripe = (8 * self.padded_cols).max(1);
         let mut padded = vec![0i8; self.padded_len()];
-        Pool::current().par_chunks_mut(&mut padded, stripe * stripes_per_chunk, |_, off, out| {
-            for (si, srow) in out.chunks_mut(stripe).enumerate() {
-                let br = off / stripe + si;
-                for bc in 0..bw {
-                    let block = &blocks[br * bw + bc];
-                    for r in 0..8 {
-                        let dst = r * self.padded_cols + bc * 8;
-                        srow[dst..dst + 8].copy_from_slice(&block[r * 8..r * 8 + 8]);
-                    }
+        for (br, srow) in padded.chunks_mut(stripe).enumerate() {
+            for bc in 0..bw {
+                let block = &blocks[br * bw + bc];
+                for r in 0..8 {
+                    let dst = r * self.padded_cols + bc * 8;
+                    srow[dst..dst + 8].copy_from_slice(&block[r * 8..r * 8 + 8]);
                 }
             }
-        });
+        }
         self.unpad(&padded)
     }
 

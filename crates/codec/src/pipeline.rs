@@ -617,7 +617,7 @@ impl JpegCodec {
         layout: &'a BlockLayout,
         values: &'a [i8],
         tables: &'a QuantTables,
-    ) -> impl Fn(usize) -> [i8; 64] + Sync + 'a {
+    ) -> impl Fn(usize) -> [i8; 64] + 'a {
         move |bi| tables.quantize_block(&dct2d_i8(&layout.gather_block(values, bi)))
     }
 }
@@ -1126,15 +1126,15 @@ mod tests {
     /// The fused streaming pipeline must produce byte-identical coded
     /// payloads to the staged reference for the full Table III codec
     /// matrix, at every thread count, and decompress to the same tensor.
-    /// Shapes cross the 512-block parallel-coding threshold in both
-    /// directions and include ragged (non-multiple-of-8) layouts.
+    /// Shapes run from 4 to 1024 blocks and include ragged
+    /// (non-multiple-of-8) layouts.
     #[test]
     fn fused_pipeline_matches_staged_reference_bitwise() {
         let tensors = [
-            smooth_tensor(1, 2, 8, 16),   // 4 blocks: sequential shortcut
+            smooth_tensor(1, 2, 8, 16),   // 4 blocks
             smooth_tensor(2, 3, 13, 17),  // ragged rows and columns
             noisy_tensor(0xf05e_d, 1, 4, 16, 16),
-            smooth_tensor(4, 16, 32, 32), // 1024 blocks: parallel coders
+            smooth_tensor(4, 16, 32, 32), // 1024 blocks
         ];
         for x in &tensors {
             for dqt in [Dqt::jpeg_quality(80), Dqt::opt_l(), Dqt::opt_h()] {

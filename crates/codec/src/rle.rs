@@ -15,13 +15,7 @@
 use crate::bits::{BitReader, BitWriter};
 use crate::cast;
 use crate::dqt::ZIGZAG;
-use jact_par::Pool;
 use std::sync::LazyLock;
-
-/// Blocks per parallel encoding chunk.  Chunk streams are joined at bit
-/// granularity ([`BitWriter::append`]), so the coded bytes are identical to
-/// sequential encoding for any thread count.
-const RLE_BLOCKS_PER_CHUNK: usize = 256;
 
 /// End-of-block symbol: `(run=0, size=0)`.
 const EOB: u8 = 0x00;
@@ -257,30 +251,11 @@ pub fn decode_block(r: &mut BitReader<'_>) -> Option<[i8; 64]> {
 
 /// Encodes a sequence of quantized blocks into a byte vector.
 pub fn encode_blocks(blocks: &[[i8; 64]]) -> Vec<u8> {
-    let pool = Pool::current();
-    // Small-input shortcut only: gating on the thread count here would make
-    // the observability event stream differ between thread counts, breaking
-    // golden-trace byte equality. `par_chunks` already degrades to a
-    // sequential fast path on a single worker.
-    if blocks.len() < 2 * RLE_BLOCKS_PER_CHUNK {
-        let mut w = BitWriter::pooled(blocks.len() * 64);
-        for b in blocks {
-            encode_block(&mut w, b);
-        }
-        return w.finish();
+    let mut w = BitWriter::pooled(blocks.len() * 64);
+    for b in blocks {
+        encode_block(&mut w, b);
     }
-    let writers = pool.par_chunks(blocks, RLE_BLOCKS_PER_CHUNK, |_, _, chunk| {
-        let mut w = BitWriter::pooled(chunk.len() * 64);
-        for b in chunk {
-            encode_block(&mut w, b);
-        }
-        w
-    });
-    let mut out = BitWriter::new();
-    for w in writers {
-        out.append(w);
-    }
-    out.finish()
+    w.finish()
 }
 
 /// Decodes `count` quantized blocks from a byte slice.
@@ -396,9 +371,9 @@ mod tests {
 
     #[test]
     fn parallel_encode_matches_sequential_bitwise() {
-        // Enough blocks to cross the parallel threshold, with varied
-        // content so chunk boundaries land mid-byte in the bit stream.
-        let blocks: Vec<[i8; 64]> = (0..2 * super::RLE_BLOCKS_PER_CHUNK + 19)
+        // Enough blocks, with varied content, that any split of the work
+        // would land mid-byte in the bit stream.
+        let blocks: Vec<[i8; 64]> = (0..531)
             .map(|b| {
                 let mut block = [0i8; 64];
                 for i in 0..64 {

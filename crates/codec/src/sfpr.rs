@@ -19,13 +19,7 @@
 use crate::cast;
 use crate::error::CodecError;
 use jact_obs as obs;
-use jact_par::Pool;
 use jact_tensor::{Shape, Tensor};
-
-/// Target elements per parallel chunk.  Chunk sizes are derived from the
-/// input only — never the thread count — so partitioning (and therefore
-/// output) is identical for any `JACT_THREADS`.
-const ELEMS_PER_CHUNK: usize = 1 << 15;
 
 /// The paper's selected global scaling factor (Sec. III-B, Fig. 10).
 pub const DEFAULT_S: f32 = 1.125;
@@ -188,10 +182,8 @@ impl SfprEncoded {
 ///
 /// Under an open observability capture this records the `stage.sfpr`
 /// span (with the `stage.scale` scan nested inside), the stage byte
-/// funnel, and the per-chunk `sfpr.clipped` / `sfpr.elems` counters
-/// behind the paper's clip-rate metric.  Counters are emitted per
-/// parallel chunk and merged in chunk-index order, so they are
-/// thread-count-invariant like the values themselves.
+/// funnel, and one `sfpr.clipped` / `sfpr.elems` counter pair per call
+/// behind the paper's clip-rate metric.
 ///
 /// # Panics
 ///
@@ -213,7 +205,7 @@ fn compress_impl(x: &Tensor, params: SfprParams) -> SfprEncoded {
     );
     let plane = h * w;
     let xv = x.as_slice();
-    let maxes = obs::span("stage.scale", || channel_max_abs_par(xv, c, plane));
+    let maxes = obs::span("stage.scale", || channel_max_abs(xv, c, plane));
     // The scales escape into the encoded payload; only the scan scratch
     // recycles.
     let mut scales: Vec<f32> = jact_pool::take(maxes.len());
@@ -228,30 +220,24 @@ fn compress_impl(x: &Tensor, params: SfprParams) -> SfprEncoded {
     let (lo, hi) = (-half, half - 1);
     let mut values: Vec<i8> = jact_pool::take_zeroed(xv.len());
     if plane > 0 && c > 0 && n > 0 {
-        // Chunks are whole (ni, ci) planes so each chunk sees a single
-        // scale per plane segment; the chunk size is input-derived only.
-        let chunk_len = plane * (ELEMS_PER_CHUNK / plane).max(1);
-        Pool::current().par_chunks_mut(&mut values, chunk_len, |_, off, out| {
-            let mut clipped = 0u64;
-            for (k, seg) in out.chunks_mut(plane).enumerate() {
-                let p = off / plane + k;
-                let sc = scales[p % c];
-                if sc == 0.0 {
-                    continue;
-                }
-                let base = off + k * plane;
-                let gain = half as f32 * sc;
-                for (j, o) in seg.iter_mut().enumerate() {
-                    let q = (gain * xv[base + j]).round() as i32;
-                    clipped += u64::from(q < lo || q > hi);
-                    *o = cast::sat_i8(q.clamp(lo, hi));
-                }
+        // One scale per (ni, ci) plane.
+        let mut clipped = 0u64;
+        for (p, (seg, src)) in values.chunks_mut(plane).zip(xv.chunks(plane)).enumerate() {
+            let sc = scales[p % c];
+            if sc == 0.0 {
+                continue;
             }
-            if obs::is_active() {
-                obs::count("sfpr.clipped", clipped);
-                obs::count("sfpr.elems", out.len() as u64);
+            let gain = half as f32 * sc;
+            for (o, &v) in seg.iter_mut().zip(src) {
+                let q = (gain * v).round() as i32;
+                clipped += u64::from(q < lo || q > hi);
+                *o = cast::sat_i8(q.clamp(lo, hi));
             }
-        });
+        }
+        if obs::is_active() {
+            obs::count("sfpr.clipped", clipped);
+            obs::count("sfpr.elems", xv.len() as u64);
+        }
     }
     let enc = SfprEncoded {
         values,
@@ -294,21 +280,16 @@ fn decompress_values_impl(values: &[i8], enc: &SfprEncoded) -> Tensor {
     let half = (1i32 << (enc.params.bits - 1)) as f32;
     let mut out: Vec<f32> = jact_pool::take_zeroed(values.len());
     if plane > 0 && c > 0 && n > 0 {
-        let chunk_len = plane * (ELEMS_PER_CHUNK / plane).max(1);
-        Pool::current().par_chunks_mut(&mut out, chunk_len, |_, off, seg_out| {
-            for (k, seg) in seg_out.chunks_mut(plane).enumerate() {
-                let p = off / plane + k;
-                let sc = enc.scales[p % c];
-                if sc == 0.0 {
-                    continue;
-                }
-                let inv = 1.0 / (half * sc);
-                let base = off + k * plane;
-                for (j, o) in seg.iter_mut().enumerate() {
-                    *o = values[base + j] as f32 * inv;
-                }
+        for (p, (seg, src)) in out.chunks_mut(plane).zip(values.chunks(plane)).enumerate() {
+            let sc = enc.scales[p % c];
+            if sc == 0.0 {
+                continue;
             }
-        });
+            let inv = 1.0 / (half * sc);
+            for (o, &v) in seg.iter_mut().zip(src) {
+                *o = v as f32 * inv;
+            }
+        }
     }
     Tensor::from_vec(enc.shape.clone(), out)
 }
@@ -339,52 +320,21 @@ fn plane_max_abs(seg: &[f32], seed: f32) -> f32 {
 }
 
 /// Per-channel `max |x|` over NCHW data laid out as `(n·c)` planes of
-/// `plane` elements — the parallel equivalent of
-/// `Tensor::channel_max_abs`.  Partial per-chunk maxima are folded with an
-/// elementwise `max`, which is order-insensitive in f32, so the result is
-/// bitwise identical for any thread count.  Chunk scratch comes from the
-/// thread-local buffer pool and is recycled after the fold.
-fn channel_max_abs_par(xv: &[f32], c: usize, plane: usize) -> Vec<f32> {
+/// `plane` elements — `Tensor::channel_max_abs` over a raw slice.  The
+/// result comes from the thread-local buffer pool.
+fn channel_max_abs(xv: &[f32], c: usize, plane: usize) -> Vec<f32> {
     if c == 0 {
         return Vec::new();
     }
-    if plane == 0 || xv.is_empty() {
-        return jact_pool::take_zeroed(c);
-    }
-    let num_planes = xv.len() / plane;
-    let planes_per_chunk = (ELEMS_PER_CHUNK / plane).max(1);
-    let num_chunks = num_planes.div_ceil(planes_per_chunk);
-    if num_chunks == 1 {
-        // One chunk covers every plane, so the chunk's partial maxima
-        // ARE the answer (abs values are non-negative, so the fold with
-        // a zero-seeded accumulator below is the identity).  Skipping
-        // `run_chunks` keeps the small-tensor path off the allocator —
-        // the scheduler's result vector is the only heap use left.
-        let mut m: Vec<f32> = jact_pool::take_zeroed(c);
-        for p in 0..num_planes {
-            let slot = p % c;
-            m[slot] = plane_max_abs(&xv[p * plane..(p + 1) * plane], m[slot]);
-        }
+    let mut m: Vec<f32> = jact_pool::take_zeroed(c);
+    if plane == 0 {
         return m;
     }
-    let parts = Pool::current().run_chunks(num_chunks, |ci| {
-        let p0 = ci * planes_per_chunk;
-        let p1 = (p0 + planes_per_chunk).min(num_planes);
-        let mut m: Vec<f32> = jact_pool::take_zeroed(c);
-        for p in p0..p1 {
-            let slot = p % c;
-            m[slot] = plane_max_abs(&xv[p * plane..(p + 1) * plane], m[slot]);
-        }
-        m
-    });
-    let mut maxes: Vec<f32> = jact_pool::take_zeroed(c);
-    for part in parts {
-        for (mm, &pv) in maxes.iter_mut().zip(&part) {
-            *mm = mm.max(pv);
-        }
-        jact_pool::give(part);
+    for (p, seg) in xv.chunks_exact(plane).enumerate() {
+        let slot = p % c;
+        m[slot] = plane_max_abs(seg, m[slot]);
     }
-    maxes
+    m
 }
 
 #[cfg(test)]

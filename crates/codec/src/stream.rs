@@ -18,14 +18,9 @@
 //! byte offset where decoding failed — never a panic or a bare `None`.
 
 use crate::error::CodecError;
-use jact_par::Pool;
 
 /// DMA packet size in bytes (two 64 B flits on the PCIe DMA path).
 pub const PACKET_BYTES: usize = 128;
-
-/// Blocks per parallel framing chunk (input-derived, thread-count
-/// independent).
-const FRAME_BLOCKS_PER_CHUNK: usize = 256;
 
 /// One CDU output block: the ZVC form of a quantized 8×8 block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,23 +84,10 @@ impl BlockPayload {
 }
 
 /// Frames a contiguous run of quantized 8×8 blocks into per-block ZVC
-/// payloads, one CDU's worth of work per chunk, across the current pool.
-/// Payload order matches block order for any thread count, so the
-/// collector's deterministic round-robin schedule is unaffected.
+/// payloads in block order, so the collector's deterministic round-robin
+/// schedule is unaffected.
 pub fn payloads_from_blocks(blocks: &[[i8; 64]]) -> Vec<BlockPayload> {
-    let mut out = vec![
-        BlockPayload {
-            mask: [0u8; 8],
-            values: Vec::new(),
-        };
-        blocks.len()
-    ];
-    Pool::current().par_chunks_mut(&mut out, FRAME_BLOCKS_PER_CHUNK, |_, off, chunk| {
-        for (p, block) in chunk.iter_mut().zip(blocks.iter().skip(off)) {
-            *p = BlockPayload::from_block(block);
-        }
-    });
-    out
+    blocks.iter().map(BlockPayload::from_block).collect()
 }
 
 /// Collects per-CDU block streams into a single 128 B-packet DMA stream.

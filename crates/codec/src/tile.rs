@@ -10,136 +10,71 @@
 //! tiles from it; the decode direction maps a quantized tile back to its
 //! spatial tile (`|q| idct(dequantize(q))`) inside the scatter drivers
 //! ([`decode_zvc`], [`untile_blocks`]), which write reconstructed rows
-//! straight into the unpadded value plane.  Stages are `Sync` because
-//! drivers call them from worker threads.
+//! straight into the unpadded value plane.  Every driver runs its blocks
+//! in index order on the calling thread.
 //!
-//! ## Determinism and byte compatibility
+//! ## Byte compatibility
 //!
-//! Work is chunked by [`TILES_PER_CHUNK`] = 256 blocks = 16 384 ZVC
-//! words — exactly the chunk sizes the staged `rle::encode_blocks` and
-//! `Zvc::compress_i8` paths used, and the same small-input shortcut
-//! threshold (2 chunks).  Per-chunk results merge in chunk-index order
-//! (`jact-par` contract), RLE streams join at bit granularity, and ZVC
-//! mask/value streams concatenate on whole-byte boundaries (64 words per
-//! block ⇒ 8 mask bytes per block), so the fused output is bitwise
-//! identical to the staged pipeline at any `JACT_THREADS`.
+//! RLE tiles append to one bit stream and ZVC tiles to one mask/value
+//! pair (64 one-byte words per tile ⇒ 8 whole mask bytes per tile), so
+//! the fused output is bitwise identical to the staged
+//! `rle::encode_blocks` and `Zvc::compress_i8` over the same tiles.
 
 use crate::bits::BitWriter;
-use crate::block::{BlockLayout, PadStrategy};
+use crate::block::BlockLayout;
 use crate::error::CodecError;
 use crate::rle;
 use crate::zvc::Zvc;
-use jact_par::Pool;
-
-/// 8×8 tiles per parallel chunk.  Matches the staged coders' chunk sizes
-/// (256 blocks = 16 384 one-byte ZVC words), so fused chunk boundaries
-/// land exactly where the staged pipeline's did.  Input-derived only.
-pub const TILES_PER_CHUNK: usize = 256;
 
 /// Materializes every tile of an index-driven stage — the escape hatch
 /// for consumers that need the full quantized block list (entropy and
 /// rate-distortion metrics), not the streaming coders.
-pub fn collect_tiles(
-    stage: &(impl Fn(usize) -> [i8; 64] + Sync),
-    num_blocks: usize,
-) -> Vec<[i8; 64]> {
-    let mut out = vec![[0i8; 64]; num_blocks];
-    Pool::current().par_chunks_mut(&mut out, TILES_PER_CHUNK, |_, off, chunk| {
-        for (k, o) in chunk.iter_mut().enumerate() {
-            *o = stage(off + k);
-        }
-    });
-    out
+pub fn collect_tiles(stage: &impl Fn(usize) -> [i8; 64], num_blocks: usize) -> Vec<[i8; 64]> {
+    (0..num_blocks).map(stage).collect()
 }
 
 /// Streams `num_blocks` tiles out of `stage` into an RLE + Huffman byte
 /// stream — byte-identical to `rle::encode_blocks` over the same tiles.
-pub fn encode_rle(stage: &(impl Fn(usize) -> [i8; 64] + Sync), num_blocks: usize) -> Vec<u8> {
-    // Small-input shortcut on input size only (never the thread count),
-    // same threshold as the staged coder, so obs event streams stay
-    // byte-equal across thread counts.
-    if num_blocks < 2 * TILES_PER_CHUNK {
-        let mut w = BitWriter::pooled(num_blocks * 64);
-        for bi in 0..num_blocks {
-            rle::encode_block(&mut w, &stage(bi));
-        }
-        return w.finish();
+pub fn encode_rle(stage: &impl Fn(usize) -> [i8; 64], num_blocks: usize) -> Vec<u8> {
+    let mut w = BitWriter::pooled(num_blocks * 64);
+    for bi in 0..num_blocks {
+        rle::encode_block(&mut w, &stage(bi));
     }
-    let num_chunks = num_blocks.div_ceil(TILES_PER_CHUNK);
-    let writers = Pool::current().run_chunks(num_chunks, |ci| {
-        let b0 = ci * TILES_PER_CHUNK;
-        let b1 = (b0 + TILES_PER_CHUNK).min(num_blocks);
-        let mut w = BitWriter::pooled((b1 - b0) * 64);
-        for bi in b0..b1 {
-            rle::encode_block(&mut w, &stage(bi));
-        }
-        w
-    });
-    let mut out = BitWriter::new();
-    for w in writers {
-        out.append(w);
-    }
-    out.finish()
+    w.finish()
 }
 
 /// Streams `num_blocks` tiles out of `stage` into a ZVC stream —
 /// equal to `Zvc::compress_i8` over the flattened tiles.
-pub fn encode_zvc(stage: &(impl Fn(usize) -> [i8; 64] + Sync), num_blocks: usize) -> Zvc {
-    // 64 one-byte words per tile: 8 whole mask bytes per tile, so chunk
-    // mask/value streams concatenate on byte boundaries.
-    let encode_span = |b0: usize, b1: usize| {
-        // Pooled scratch sized for the dense worst case, so a warm shelf
-        // serves the whole span without growth reallocation.
-        let mut mask: Vec<u8> = jact_pool::take_zeroed((b1 - b0) * 8);
-        let mut values: Vec<u8> = jact_pool::take((b1 - b0) * 64);
-        for (k, bi) in (b0..b1).enumerate() {
-            let tile = stage(bi);
-            for (w, &v) in tile.iter().enumerate() {
-                if v != 0 {
-                    mask[k * 8 + w / 8] |= 1 << (w % 8);
-                    values.push(v.cast_unsigned());
-                }
+pub fn encode_zvc(stage: &impl Fn(usize) -> [i8; 64], num_blocks: usize) -> Zvc {
+    // Pooled scratch sized for the dense worst case, so a warm shelf
+    // serves the whole stream without growth reallocation.
+    let mut mask: Vec<u8> = jact_pool::take_zeroed(num_blocks * 8);
+    let mut values: Vec<u8> = jact_pool::take(num_blocks * 64);
+    for bi in 0..num_blocks {
+        let tile = stage(bi);
+        for (w, &v) in tile.iter().enumerate() {
+            if v != 0 {
+                mask[bi * 8 + w / 8] |= 1 << (w % 8);
+                values.push(v.cast_unsigned());
             }
         }
-        (mask, values)
-    };
-    // Same small-input shortcut threshold as the staged coder
-    // (`2 * WORDS_PER_CHUNK` words = `2 * TILES_PER_CHUNK` blocks).
-    if num_blocks < 2 * TILES_PER_CHUNK {
-        let (mask, values) = encode_span(0, num_blocks);
-        return Zvc::from_parts_trusted(mask, values, num_blocks * 64, 1);
-    }
-    let num_chunks = num_blocks.div_ceil(TILES_PER_CHUNK);
-    let parts = Pool::current().run_chunks(num_chunks, |ci| {
-        let b0 = ci * TILES_PER_CHUNK;
-        encode_span(b0, (b0 + TILES_PER_CHUNK).min(num_blocks))
-    });
-    let mut mask: Vec<u8> = jact_pool::take(num_blocks * 8);
-    let mut values: Vec<u8> =
-        jact_pool::take(parts.iter().map(|(_, v)| v.len()).sum::<usize>());
-    for (m, v) in parts {
-        mask.extend_from_slice(&m);
-        values.extend_from_slice(&v);
-        jact_pool::give(m);
-        jact_pool::give(v);
     }
     Zvc::from_parts_trusted(mask, values, num_blocks * 64, 1)
 }
 
-/// Writes the reconstructed rows of one spatial tile into the slice of
-/// the unpadded output plane starting at element `chunk_off`, dropping
-/// padding rows/columns inline (the streaming inverse of
-/// `BlockLayout::gather_block`).
+/// Writes the reconstructed rows of one spatial tile into the unpadded
+/// output plane, dropping padding rows/columns inline (the streaming
+/// inverse of `BlockLayout::gather_block`).
 #[inline]
-fn scatter_tile(layout: &BlockLayout, bi: usize, tile: &[i8; 64], chunk: &mut [i8], chunk_off: usize) {
+fn scatter_tile(layout: &BlockLayout, bi: usize, tile: &[i8; 64], out: &mut [i8]) {
     let (cols, bw) = (layout.cols(), layout.blocks_wide());
     let (br, bc) = (bi / bw, bi % bw);
     let c0 = bc * 8;
     let cw = (cols - c0).min(8);
     for (r, row) in tile.chunks_exact(8).enumerate() {
         if let Some(sr) = layout.source_row(br * 8 + r) {
-            let dst = sr * cols + c0 - chunk_off;
-            chunk[dst..dst + cw].copy_from_slice(&row[..cw]);
+            let dst = sr * cols + c0;
+            out[dst..dst + cw].copy_from_slice(&row[..cw]);
         }
     }
 }
@@ -150,15 +85,12 @@ fn scatter_tile(layout: &BlockLayout, bi: usize, tile: &[i8; 64], chunk: &mut [i
 pub fn untile_blocks(
     layout: &BlockLayout,
     quantized: &[[i8; 64]],
-    stage: &(impl Fn([i8; 64]) -> [i8; 64] + Sync),
+    stage: &impl Fn([i8; 64]) -> [i8; 64],
 ) -> Vec<i8> {
     let mut out: Vec<i8> = jact_pool::take_zeroed(layout.shape().len());
-    for_scatter_chunks(layout, &mut out, |blocks, chunk, chunk_off| {
-        for bi in blocks {
-            let tile = stage(quantized[bi]);
-            scatter_tile(layout, bi, &tile, chunk, chunk_off);
-        }
-    });
+    for bi in 0..layout.num_blocks() {
+        scatter_tile(layout, bi, &stage(quantized[bi]), &mut out);
+    }
     out
 }
 
@@ -174,7 +106,7 @@ pub fn untile_blocks(
 pub fn decode_zvc(
     layout: &BlockLayout,
     z: &Zvc,
-    stage: &(impl Fn([i8; 64]) -> [i8; 64] + Sync),
+    stage: &impl Fn([i8; 64]) -> [i8; 64],
 ) -> Result<Vec<i8>, CodecError> {
     if z.word_bytes() != 1 {
         return Err(CodecError::Corrupt("not an i8 ZVC stream"));
@@ -182,64 +114,28 @@ pub fn decode_zvc(
     if z.words() != layout.num_blocks() * 64 {
         return Err(CodecError::Corrupt("ZVC word count disagrees with layout"));
     }
+    // Block `bi` owns mask bytes `bi*8..bi*8+8`; the packed values are
+    // consumed in block order.
     let (mask, values) = (z.mask_bytes(), z.value_bytes());
-    // Each block owns mask bytes `bi*8..bi*8+8`; its packed values start
-    // at the popcount of everything before it.  Each chunk computes its
-    // starting offset with one prefix scan, then walks its own blocks
-    // contiguously — no cross-chunk state, so merge order is irrelevant.
     let mut out: Vec<i8> = jact_pool::take_zeroed(layout.shape().len());
-    for_scatter_chunks(layout, &mut out, |blocks, chunk, chunk_off| {
-        let mut vi: usize = mask[..blocks.start * 8]
-            .iter()
-            .map(|b| b.count_ones() as usize)
-            .sum();
-        for bi in blocks {
-            let mut q = [0i8; 64];
-            for (w, o) in q.iter_mut().enumerate() {
-                if mask[bi * 8 + w / 8] >> (w % 8) & 1 == 1 {
-                    *o = values[vi].cast_signed();
-                    vi += 1;
-                }
+    let mut vi = 0;
+    for (bi, bits) in mask.chunks_exact(8).enumerate() {
+        let mut q = [0i8; 64];
+        for (w, o) in q.iter_mut().enumerate() {
+            if bits[w / 8] >> (w % 8) & 1 == 1 {
+                *o = values[vi].cast_signed();
+                vi += 1;
             }
-            let tile = stage(q);
-            scatter_tile(layout, bi, &tile, chunk, chunk_off);
         }
-    });
-    Ok(out)
-}
-
-/// Drives a block-range decode closure over the unpadded output plane in
-/// stripe-aligned parallel chunks (NCH,W layouts) or as one sequential
-/// range (H,W layouts, whose per-image padding rows do not tile the
-/// unpadded plane uniformly).  `f(blocks, chunk, chunk_off)` must write
-/// only those blocks' unpadded rows, which lie inside `chunk` by
-/// construction.
-fn for_scatter_chunks(
-    layout: &BlockLayout,
-    out: &mut [i8],
-    f: impl Fn(core::ops::Range<usize>, &mut [i8], usize) + Sync,
-) {
-    let bw = layout.blocks_wide();
-    if layout.strategy() != PadStrategy::NchW {
-        f(0..layout.num_blocks(), out, 0);
-        return;
+        scatter_tile(layout, bi, &stage(q), &mut out);
     }
-    // One stripe = one row of blocks = 8 unpadded matrix rows (the last
-    // may be ragged); stripes are contiguous in the unpadded plane, so
-    // chunking by whole stripes gives each worker a disjoint range and a
-    // contiguous, row-major block range.
-    let stripe = 8 * layout.cols();
-    let stripes_per_chunk = (TILES_PER_CHUNK / bw.max(1)).max(1);
-    Pool::current().par_chunks_mut(out, stripe * stripes_per_chunk, |_, off, chunk| {
-        let br0 = off / stripe;
-        let stripes = chunk.len().div_ceil(stripe);
-        f(br0 * bw..(br0 + stripes) * bw, chunk, off);
-    });
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::PadStrategy;
     use crate::dct::{dct2d_i8, idct2d_to_i8};
     use crate::dqt::Dqt;
     use crate::quant::{quantize, QuantKind, QuantTables};
@@ -263,11 +159,11 @@ mod tests {
         layout: &'a BlockLayout,
         values: &'a [i8],
         tables: &'a QuantTables,
-    ) -> impl Fn(usize) -> [i8; 64] + Sync + 'a {
+    ) -> impl Fn(usize) -> [i8; 64] + 'a {
         move |bi| tables.quantize_block(&dct2d_i8(&layout.gather_block(values, bi)))
     }
 
-    fn decode_stage(tables: &QuantTables) -> impl Fn([i8; 64]) -> [i8; 64] + Sync + '_ {
+    fn decode_stage(tables: &QuantTables) -> impl Fn([i8; 64]) -> [i8; 64] + '_ {
         move |q| idct2d_to_i8(&tables.dequantize_block(&q))
     }
 

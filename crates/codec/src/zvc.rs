@@ -18,12 +18,6 @@
 //! malformed input gracefully.
 
 use crate::error::CodecError;
-use jact_par::Pool;
-
-/// Words per parallel chunk.  A multiple of 8 so every chunk owns whole
-/// mask bytes; input-derived only, so the mask/value streams are bitwise
-/// identical to sequential compression for any thread count.
-const WORDS_PER_CHUNK: usize = 1 << 14;
 
 /// A ZVC-compressed buffer: non-zero bit mask plus packed non-zero words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,63 +61,24 @@ impl Zvc {
     /// Compresses a slice of `f32` values (4-byte words); only exact `+0.0`
     /// bit patterns count as zero, matching a hardware word comparator.
     pub fn compress_f32(data: &[f32]) -> Self {
-        let mut bytes: Vec<u8> = jact_pool::take_zeroed(data.len() * 4);
-        Pool::current().par_chunks_mut(&mut bytes, WORDS_PER_CHUNK * 4, |_, off, out| {
-            for (k, word) in out.chunks_exact_mut(4).enumerate() {
-                // Normalize -0.0 to +0.0 so the mask sees it as zero, as
-                // the cDMA hardware does for sign-magnitude zero.
-                let v = data[off / 4 + k];
-                let v = if v == 0.0 { 0.0 } else { v };
-                word.copy_from_slice(&v.to_le_bytes());
-            }
-        });
+        let mut bytes: Vec<u8> = jact_pool::take(data.len() * 4);
+        for &v in data {
+            // Normalize -0.0 to +0.0 so the mask sees it as zero, as the
+            // cDMA hardware does for sign-magnitude zero.
+            let v = if v == 0.0 { 0.0 } else { v };
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
         let z = Self::compress_infallible(&bytes, 4);
         jact_pool::give(bytes);
         z
     }
 
     /// Compression core for callers that construct aligned buffers
-    /// themselves; the width invariants hold by construction.
+    /// themselves; the width invariants hold by construction.  Counts
+    /// non-zero words first so `values` is allocated exactly once at its
+    /// final size.
     fn compress_infallible(data: &[u8], word_bytes: usize) -> Self {
         let words = data.len() / word_bytes;
-        let pool = Pool::current();
-        // Input-size shortcut only (never the thread count): the chunked
-        // path must run — and emit its region events — identically for any
-        // pool size so traces stay byte-equal across thread counts.
-        if words < 2 * WORDS_PER_CHUNK {
-            return Self::compress_chunk(data, word_bytes, words);
-        }
-        // Chunks own whole mask bytes (WORDS_PER_CHUNK is a multiple of 8),
-        // so concatenating per-chunk mask/value streams in chunk order
-        // reproduces the sequential output byte for byte.
-        let num_chunks = words.div_ceil(WORDS_PER_CHUNK);
-        let parts = pool.run_chunks(num_chunks, |ci| {
-            let w0 = ci * WORDS_PER_CHUNK;
-            let w1 = (w0 + WORDS_PER_CHUNK).min(words);
-            let chunk = &data[w0 * word_bytes..w1 * word_bytes];
-            let z = Self::compress_chunk(chunk, word_bytes, w1 - w0);
-            (z.mask, z.values)
-        });
-        let mut mask: Vec<u8> = jact_pool::take(words.div_ceil(8));
-        let mut values: Vec<u8> =
-            jact_pool::take(parts.iter().map(|(_, v)| v.len()).sum::<usize>());
-        for (m, v) in parts {
-            mask.extend_from_slice(&m);
-            values.extend_from_slice(&v);
-            jact_pool::give(m);
-            jact_pool::give(v);
-        }
-        Zvc {
-            mask,
-            values,
-            words,
-            word_bytes,
-        }
-    }
-
-    /// Sequential compression of one aligned span: counts non-zero words
-    /// first so `values` is allocated exactly once at its final size.
-    fn compress_chunk(data: &[u8], word_bytes: usize, words: usize) -> Zvc {
         let nonzero = data
             .chunks_exact(word_bytes)
             .filter(|w| w.iter().any(|&b| b != 0))
@@ -215,48 +170,16 @@ impl Zvc {
     /// drawn from the thread-local pool; callers on a steady-state path
     /// should hand it back with `jact_pool::give` once consumed.
     pub fn decompress(&self) -> Vec<u8> {
-        let pool = Pool::current();
-        let mut out: Vec<u8> = jact_pool::take_zeroed(self.words * self.word_bytes);
-        // Input-size shortcut only; see `compress_infallible`.
-        if self.words < 2 * WORDS_PER_CHUNK {
-            self.scatter_words(0, 0, &mut out);
-            return out;
-        }
-        // Each chunk's starting value offset is the popcount of all mask
-        // bits before it — a cheap sequential prefix scan over mask bytes,
-        // after which every chunk scatters into a disjoint output range.
-        let num_chunks = self.words.div_ceil(WORDS_PER_CHUNK);
-        let mut starts = Vec::with_capacity(num_chunks);
-        let mut acc = 0usize;
-        for ci in 0..num_chunks {
-            starts.push(acc);
-            let b0 = ci * WORDS_PER_CHUNK / 8;
-            let b1 = (b0 + WORDS_PER_CHUNK / 8).min(self.mask.len());
-            acc += self.mask[b0..b1]
-                .iter()
-                .map(|b| b.count_ones() as usize)
-                .sum::<usize>()
-                * self.word_bytes;
-        }
-        pool.par_chunks_mut(&mut out, WORDS_PER_CHUNK * self.word_bytes, |ci, off, chunk| {
-            self.scatter_words(off / self.word_bytes, starts[ci], chunk);
-        });
-        out
-    }
-
-    /// Scatters words `first_word..` into `out` (whose length determines the
-    /// word count), reading packed values from `value_offset` onward.
-    fn scatter_words(&self, first_word: usize, value_offset: usize, out: &mut [u8]) {
-        let count = out.len() / self.word_bytes;
-        let mut vi = value_offset;
-        for k in 0..count {
-            let w = first_word + k;
+        let wb = self.word_bytes;
+        let mut out: Vec<u8> = jact_pool::take_zeroed(self.words * wb);
+        let mut vi = 0;
+        for (w, word) in out.chunks_exact_mut(wb).enumerate() {
             if self.mask[w / 8] >> (w % 8) & 1 == 1 {
-                out[k * self.word_bytes..(k + 1) * self.word_bytes]
-                    .copy_from_slice(&self.values[vi..vi + self.word_bytes]);
-                vi += self.word_bytes;
+                word.copy_from_slice(&self.values[vi..vi + wb]);
+                vi += wb;
             }
         }
+        out
     }
 
     /// Decompresses to `i8` values.
@@ -283,13 +206,12 @@ impl Zvc {
             return Err(CodecError::Corrupt("not an f32 ZVC stream"));
         }
         let bytes = self.decompress();
-        let mut out: Vec<f32> = jact_pool::take_zeroed(self.words);
-        Pool::current().par_chunks_mut(&mut out, WORDS_PER_CHUNK, |_, off, seg| {
-            for (k, o) in seg.iter_mut().enumerate() {
-                let i = (off + k) * 4;
-                *o = f32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
-            }
-        });
+        let mut out: Vec<f32> = jact_pool::take(self.words);
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]])),
+        );
         jact_pool::give(bytes);
         Ok(out)
     }
@@ -478,10 +400,10 @@ mod tests {
 
     #[test]
     fn parallel_compress_matches_sequential_bitwise() {
-        // Large enough to cross the parallel threshold (2 * WORDS_PER_CHUNK
-        // words) with a ragged tail; every thread count must produce the
-        // same mask and value streams as single-threaded compression.
-        let n = 2 * super::WORDS_PER_CHUNK * 4 + 37 * 4;
+        // 32 805 words with a ragged tail; every thread count must
+        // produce the same mask and value streams as single-threaded
+        // compression.
+        let n = (1 << 15) * 4 + 37 * 4;
         let data: Vec<u8> = (0..n)
             .map(|i| if i % 7 < 4 { 0 } else { (i % 251) as u8 })
             .collect();

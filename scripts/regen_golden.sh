@@ -6,9 +6,9 @@
 # regenerated file is an intentional pipeline change that must be reviewed
 # together with the code that caused it. Never hand-edit the JSON.
 #
-# The generator records with wall-clock capture disabled and the traces are
-# thread-count-invariant by construction, so the output is identical on any
-# machine and at any JACT_THREADS setting.
+# The generator records with wall-clock capture disabled, and no library
+# call forks, so every event comes from the calling thread in program
+# order: the output is identical on any machine and at any JACT_THREADS.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

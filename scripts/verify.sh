@@ -39,7 +39,7 @@ cargo run -q -p jact-analyze --release --offline -- --report "$PWD/BENCH_analyze
 echo "== fault_sweep (smoke fault rates over the offload wire path) =="
 JACT_QUICK=1 cargo run -q -p jact-bench --release --offline --bin fault_sweep
 
-echo "== codec_throughput (writes BENCH_codec.json: staged + fused stages, thread grid) =="
+echo "== codec_throughput (writes BENCH_codec.json: staged + fused stages, whole codec) =="
 # Absolute path: cargo runs the bench with cwd = crates/bench, not here.
 JACT_QUICK=1 JACT_BENCH_JSON="$PWD" cargo bench -q -p jact-bench --offline --bench codec_throughput
 
@@ -59,7 +59,7 @@ cargo run -q -p jact-bench --release --offline --bin bench_check -- \
 echo "== profile_offload (stage-breakdown profile, writes BENCH_obs.json) =="
 JACT_QUICK=1 JACT_BENCH_JSON="$PWD" cargo run -q -p jact-bench --release --offline --bin profile_offload
 
-echo "== golden observability traces (byte-equal at 1/2/8 threads) =="
+echo "== golden observability traces (byte-equal at 1/2/8 threads: no library call forks, so the thread count cannot reach a trace) =="
 cargo test -q --offline -p jact-bench --test obs_golden
 
 echo "== serve_load (1/8-tenant daemon smoke under seeded chaos, writes BENCH_serve.json) =="

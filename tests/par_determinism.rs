@@ -164,3 +164,43 @@ fn fault_recovery_counts_are_thread_count_invariant() {
         }
     }
 }
+
+/// `(codec, wire frame length, CRC-32 of the frame before its trailer)`
+/// for every codec of [`all_codecs`] on [`activation`]. Together the rows
+/// cover all eight `Payload` tags, so any change to a codec's bytes,
+/// however the work inside a call is scheduled, shows up here. The
+/// trailer is left out because the CRC of a whole sealed frame is the
+/// same constant residue for every frame.
+const FROZEN_FRAMES: [(&str, usize, u32); 13] = [
+    ("raw", 524_364, 0xb2264d53),
+    ("zvc_f32", 429_349, 0xd06e716f),
+    ("dpr_f16", 524_368, 0x7b814a5b),
+    ("gist_csr", 208_573, 0xd674ee16),
+    ("sfpr", 131_222, 0x55a35633),
+    ("sfpr_zvc", 118_230, 0x1ec75d0d),
+    ("brc", 16_460, 0x25721aae),
+    ("jpeg_base_q80", 44_453, 0xac1f3ba9),
+    ("jpeg_act_optH", 47_371, 0xf8e58ad9),
+    ("jpeg_Div_Rle", 29_423, 0x615ea638),
+    ("jpeg_Div_Zvc", 55_625, 0x4ae97fa3),
+    ("jpeg_Shift_Rle", 25_355, 0x92ae4cad),
+    ("jpeg_Shift_Zvc", 47_371, 0xf8e58ad9),
+];
+
+#[test]
+fn every_codec_matches_its_frozen_frame_digest() {
+    let x = activation();
+    let got: Vec<(String, usize, u32)> = all_codecs()
+        .into_iter()
+        .map(|(name, codec)| {
+            let frame = wire::serialize(&codec.compress(&x));
+            let sealed = &frame[..frame.len() - jact_codec::seal::TRAILER_BYTES];
+            (name, frame.len(), jact_codec::seal::crc32(sealed))
+        })
+        .collect();
+    let want: Vec<(String, usize, u32)> = FROZEN_FRAMES
+        .iter()
+        .map(|&(name, len, crc)| (name.to_string(), len, crc))
+        .collect();
+    assert_eq!(got, want, "a codec's frame bytes changed");
+}

@@ -104,7 +104,7 @@ fn doc_covered_crate_roots_deny_missing_docs() {
 /// the last PR that moved it.  A ratchet: lower it whenever code goes
 /// away; a PR that adds a subsystem must say what it replaces (ROADMAP
 /// aim 2), and raising this number is where it says so.
-const LOC_CODE_CEILING: usize = 17_825;
+const LOC_CODE_CEILING: usize = 17_593;
 
 #[test]
 fn non_test_code_stays_under_the_committed_ceiling() {
